@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the default build + full test suite, followed by
-# sanitized configurations — ASan+UBSan over the inference server and its
-# substrate, then TSan over the concurrency-labelled suites (server
-# workers, metrics sinks, the logger).
+# Tier-1 verification: the default build + full test suite, a Release
+# (-O3) bit-identity stage, then sanitized configurations — ASan+UBSan
+# over the inference server and its substrate, then TSan over the
+# concurrency-labelled suites (server workers, metrics sinks, the
+# logger).
 #
 # Usage: scripts/tier1.sh [jobs]
 #
@@ -32,6 +33,16 @@ build/tools/deepburning profile Alexnet --json > "${PROFILE_TMP}/a.json"
 build/tools/deepburning profile Alexnet --json > "${PROFILE_TMP}/b.json"
 cmp "${PROFILE_TMP}/a.json" "${PROFILE_TMP}/b.json"
 scripts/lint.sh --metrics-only
+
+echo "== tier-1: Release (-O3) bit-identity (ctest -L differential) =="
+# The compiler may vectorise the scalar kernels differently at -O3; the
+# golden activation digests, the scalar-vs-AVX2 comparison and the
+# kernel brute-force tests must still hold bit for bit.
+cmake --preset release
+cmake --build --preset release -j "${JOBS}" \
+  --target differential_test kernels_test deepburning
+ctest --preset release -j "${JOBS}" -L differential
+build-release/tests/kernels_test
 
 echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 cmake --preset asan

@@ -66,7 +66,13 @@ std::int64_t FixedFormat::Mul(std::int64_t a, std::int64_t b) const {
 }
 
 std::string FixedFormat::ToString() const {
-  return "Q" + std::to_string(int_bits()) + "." + std::to_string(frac_bits_);
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+  // `"Q" + std::to_string(...)` (operator+ inserting at position 0).
+  std::string s = "Q";
+  s += std::to_string(int_bits());
+  s += '.';
+  s += std::to_string(frac_bits_);
+  return s;
 }
 
 std::vector<std::int64_t> QuantizeVector(const FixedFormat& fmt,

@@ -261,9 +261,16 @@ std::string RenderExpr(const VExpr& expr) {
       }
       return out + "}";
     }
-    case VExprKind::kRepeat:
-      return "{" + std::to_string(expr.value) + "{" +
-             RenderExpr(expr.args[0]) + "}}";
+    case VExprKind::kRepeat: {
+      // Here and in kParen: appended piecewise, because a literal +
+      // std::string trips GCC 12's false -Wrestrict at -O3.
+      std::string out = "{";
+      out += std::to_string(expr.value);
+      out += '{';
+      out += RenderExpr(expr.args[0]);
+      out += "}}";
+      return out;
+    }
     case VExprKind::kUnary:
       return expr.text + RenderExpr(expr.args[0]);
     case VExprKind::kBinary:
@@ -275,8 +282,12 @@ std::string RenderExpr(const VExpr& expr) {
     case VExprKind::kTernary:
       return RenderExpr(expr.args[0]) + " ? " + RenderExpr(expr.args[1]) +
              " : " + RenderExpr(expr.args[2]);
-    case VExprKind::kParen:
-      return "(" + RenderExpr(expr.args[0]) + ")";
+    case VExprKind::kParen: {
+      std::string out = "(";
+      out += RenderExpr(expr.args[0]);
+      out += ')';
+      return out;
+    }
     case VExprKind::kSigned:
       return "$signed(" + RenderExpr(expr.args[0]) + ")";
   }

@@ -78,18 +78,14 @@ struct NarrowMath {
   static Acc Bias(std::int32_t b, int f) {
     return static_cast<Acc>(b) << f;
   }
-  void MacRow(Acc* acc, const std::int32_t* in, std::int32_t w,
-              std::size_t n) const {
-    ops.mac_row(acc, in, w, n);
+  void ConvTile(Acc* acc, const std::int32_t* panel, std::size_t taps,
+                std::size_t width, const std::int32_t* w, const Acc* bias,
+                std::size_t n_oc) const {
+    ops.conv_tile(acc, panel, taps, width, w, bias, n_oc);
   }
   Acc Dot(const std::int32_t* a, const std::int32_t* b,
           std::size_t n) const {
     return ops.dot(a, b, n);
-  }
-  Acc DotRows(const std::int32_t* a, std::ptrdiff_t a_stride,
-              const std::int32_t* b, std::ptrdiff_t b_stride,
-              std::size_t rows, std::size_t n) const {
-    return ops.dot_rows(a, a_stride, b, b_stride, rows, n);
   }
   void Writeback(std::int32_t* out, const Acc* acc, std::size_t n,
                  const FixedFormat& fmt) const {
@@ -105,25 +101,24 @@ struct WideMath {
   static Acc Bias(std::int32_t b, int f) {
     return static_cast<Acc>(b) << f;
   }
-  void MacRow(Acc* acc, const std::int32_t* in, std::int32_t w,
-              std::size_t n) const {
-    const std::int64_t w64 = w;
-    for (std::size_t i = 0; i < n; ++i) acc[i] += Acc{w64 * in[i]};
+  void ConvTile(Acc* acc, const std::int32_t* panel, std::size_t taps,
+                std::size_t width, const std::int32_t* w, const Acc* bias,
+                std::size_t n_oc) const {
+    for (std::size_t j = 0; j < n_oc; ++j) {
+      Acc* row = acc + j * width;
+      std::fill(row, row + width, bias[j]);
+      for (std::size_t t = 0; t < taps; ++t) {
+        const std::int64_t wt = w[j * taps + t];
+        const std::int32_t* p = panel + t * width;
+        for (std::size_t x = 0; x < width; ++x) row[x] += Acc{wt * p[x]};
+      }
+    }
   }
   Acc Dot(const std::int32_t* a, const std::int32_t* b,
           std::size_t n) const {
     Acc sum = 0;
     for (std::size_t i = 0; i < n; ++i)
       sum += Acc{static_cast<std::int64_t>(a[i]) * b[i]};
-    return sum;
-  }
-  Acc DotRows(const std::int32_t* a, std::ptrdiff_t a_stride,
-              const std::int32_t* b, std::ptrdiff_t b_stride,
-              std::size_t rows, std::size_t n) const {
-    Acc sum = 0;
-    for (std::size_t r = 0; r < rows; ++r)
-      sum += Dot(a + static_cast<std::ptrdiff_t>(r) * a_stride,
-                 b + static_cast<std::ptrdiff_t>(r) * b_stride, n);
     return sum;
   }
   void Writeback(std::int32_t* out, const Acc* acc, std::size_t n,
@@ -193,75 +188,65 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
   const std::int64_t out_h = out.shape.height;
   const std::int64_t out_w = out.shape.width;
   const std::int64_t k = p.kernel_size;
+  const std::int64_t s = p.stride;
   const std::int64_t group_in = in0.shape.channels / p.group;
   const std::int64_t group_out = out.shape.channels / p.group;
-  Acc* acc_row = arena_.Alloc<Acc>(static_cast<std::size_t>(out_w));
-  for (std::int64_t oc = 0; oc < out.shape.channels; ++oc) {
-    const std::int64_t ic_base = (oc / group_out) * group_in;
-    const Acc bias =
-        rp.bias.empty()
-            ? Acc{0}
-            : Math::Bias(rp.bias[static_cast<std::size_t>(oc)], f);
-    const std::int32_t* w_oc =
-        rp.weights.data() + oc * group_in * k * k;
-    for (std::int64_t y = 0; y < out_h; ++y) {
-      for (std::int64_t x = 0; x < out_w; ++x) acc_row[x] = bias;
-      if (p.stride == 1) {
-        // Stride-1: broadcast each weight tap across the whole output
-        // row (one mac_row per (g, ky, kx)).
-        for (std::int64_t g = 0; g < group_in; ++g) {
-          const std::int64_t ic = ic_base + g;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            const std::int64_t iy = y + ky - p.pad;
-            if (iy < 0 || iy >= in_h) continue;
-            const std::int32_t* in_row =
-                in0.raw + (ic * in_h + iy) * in_w;
-            const std::int32_t* w_row = w_oc + (g * k + ky) * k;
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              const std::int64_t x_lo =
-                  std::max<std::int64_t>(0, p.pad - kx);
-              const std::int64_t x_hi =
-                  std::min<std::int64_t>(out_w, in_w - kx + p.pad);
-              if (x_hi <= x_lo) continue;
-              math.MacRow(acc_row + x_lo, in_row + (x_lo + kx - p.pad),
-                          w_row[kx],
-                          static_cast<std::size_t>(x_hi - x_lo));
+  const std::size_t taps = static_cast<std::size_t>(group_in * k * k);
+  const std::size_t width =
+      (static_cast<std::size_t>(out_w) + sim::kConvTileWidth - 1) /
+      sim::kConvTileWidth * sim::kConvTileWidth;
+  std::int32_t* panel = arena_.Alloc<std::int32_t>(taps * width);
+  Acc* acc = arena_.Alloc<Acc>(sim::kConvTileRows * width);
+  Acc* bias = arena_.Alloc<Acc>(static_cast<std::size_t>(out.shape.channels));
+  for (std::int64_t oc = 0; oc < out.shape.channels; ++oc)
+    bias[oc] = rp.bias.empty()
+                   ? Acc{0}
+                   : Math::Bias(rp.bias[static_cast<std::size_t>(oc)], f);
+  // Output pixel x of tap (ky, kx) reads input column x*s - pad + kx;
+  // the pixels whose column lies in [0, in_w) are [x_lo, x_hi).
+  auto first_x_reading_at_least = [&](std::int64_t col, std::int64_t kx) {
+    const std::int64_t num = col + p.pad - kx;
+    return num <= 0 ? 0 : std::min(out_w, (num + s - 1) / s);
+  };
+  for (std::int64_t y = 0; y < out_h; ++y) {
+    for (std::int64_t g = 0; g < p.group; ++g) {
+      // 1. Pack the zero-padded tap panel P[(ic, ky, kx)][x].
+      std::int32_t* row = panel;
+      for (std::int64_t ic = g * group_in; ic < (g + 1) * group_in; ++ic) {
+        for (std::int64_t ky = 0; ky < k; ++ky) {
+          const std::int64_t iy = y * s - p.pad + ky;
+          const bool inside = iy >= 0 && iy < in_h;
+          for (std::int64_t kx = 0; kx < k; ++kx, row += width) {
+            const std::int64_t x_lo =
+                inside ? first_x_reading_at_least(0, kx) : 0;
+            const std::int64_t x_hi =
+                inside ? first_x_reading_at_least(in_w, kx) : 0;
+            std::fill(row, row + x_lo, 0);
+            if (x_lo < x_hi) {
+              const std::int32_t* src =
+                  in0.raw + (ic * in_h + iy) * in_w + x_lo * s - p.pad + kx;
+              for (std::int64_t x = x_lo; x < x_hi; ++x)
+                row[x] = src[(x - x_lo) * s];
             }
+            std::fill(row + x_hi, row + width, 0);
           }
-        }
-      } else {
-        // Strided: per output pixel, one fused dot over the clipped
-        // (ky, kx) tap block of each input channel.
-        const std::int64_t iy0 = y * p.stride - p.pad;
-        const std::int64_t ky_lo = std::max<std::int64_t>(0, -iy0);
-        const std::int64_t ky_hi = std::min<std::int64_t>(k, in_h - iy0);
-        if (ky_hi <= ky_lo) {
-          math.Writeback(out.raw + (oc * out_h + y) * out_w, acc_row,
-                         static_cast<std::size_t>(out_w), fmt_);
-          continue;
-        }
-        const std::size_t tap_rows =
-            static_cast<std::size_t>(ky_hi - ky_lo);
-        for (std::int64_t x = 0; x < out_w; ++x) {
-          const std::int64_t ix0 = x * p.stride - p.pad;
-          const std::int64_t kx_lo = std::max<std::int64_t>(0, -ix0);
-          const std::int64_t kx_hi =
-              std::min<std::int64_t>(k, in_w - ix0);
-          if (kx_hi <= kx_lo) continue;
-          Acc acc = 0;
-          for (std::int64_t g = 0; g < group_in; ++g) {
-            const std::int64_t ic = ic_base + g;
-            acc += math.DotRows(
-                w_oc + (g * k + ky_lo) * k + kx_lo, k,
-                in0.raw + (ic * in_h + iy0 + ky_lo) * in_w + ix0 + kx_lo,
-                in_w, tap_rows,
-                static_cast<std::size_t>(kx_hi - kx_lo));
-          }
-          acc_row[x] += acc;
         }
       }
-      math.Writeback(out.raw + (oc * out_h + y) * out_w, acc_row,
-                     static_cast<std::size_t>(out_w), fmt_);
+      // 2. Register-blocked tiles of output channels, 3. writeback.
+      const std::int64_t oc_end = (g + 1) * group_out;
+      for (std::int64_t oc = g * group_out; oc < oc_end;
+           oc += static_cast<std::int64_t>(sim::kConvTileRows)) {
+        const std::size_t n_oc = std::min(
+            sim::kConvTileRows, static_cast<std::size_t>(oc_end - oc));
+        math.ConvTile(acc, panel, taps, width,
+                      rp.weights.data() + static_cast<std::size_t>(oc) * taps,
+                      bias + oc, n_oc);
+        for (std::size_t j = 0; j < n_oc; ++j)
+          math.Writeback(
+              out.raw + ((oc + static_cast<std::int64_t>(j)) * out_h + y) *
+                            out_w,
+              acc + j * width, static_cast<std::size_t>(out_w), fmt_);
+      }
     }
   }
 }

@@ -1,5 +1,6 @@
 #include "sim/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -15,10 +16,25 @@ namespace db::sim {
 
 namespace {
 
-void ScalarMacRow(std::int64_t* acc, const std::int32_t* in,
-                  std::int32_t w, std::size_t n) {
-  const std::int64_t w64 = w;
-  for (std::size_t i = 0; i < n; ++i) acc[i] += w64 * in[i];
+void ScalarConvTile(std::int64_t* acc, const std::int32_t* panel,
+                    std::size_t taps, std::size_t width,
+                    const std::int32_t* w, const std::int64_t* bias,
+                    std::size_t n_oc) {
+  for (std::size_t x0 = 0; x0 < width; x0 += kConvTileWidth) {
+    std::int64_t tile[kConvTileRows][kConvTileWidth];
+    for (std::size_t j = 0; j < n_oc; ++j)
+      for (std::int64_t& v : tile[j]) v = bias[j];
+    for (std::size_t t = 0; t < taps; ++t) {
+      const std::int32_t* p = panel + t * width + x0;
+      for (std::size_t j = 0; j < n_oc; ++j) {
+        const std::int64_t wt = w[j * taps + t];
+        for (std::size_t i = 0; i < kConvTileWidth; ++i)
+          tile[j][i] += wt * p[i];
+      }
+    }
+    for (std::size_t j = 0; j < n_oc; ++j)
+      std::copy(tile[j], tile[j] + kConvTileWidth, acc + j * width + x0);
+  }
 }
 
 std::int64_t ScalarDot(const std::int32_t* a, const std::int32_t* b,
@@ -26,19 +42,6 @@ std::int64_t ScalarDot(const std::int32_t* a, const std::int32_t* b,
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < n; ++i)
     sum += static_cast<std::int64_t>(a[i]) * b[i];
-  return sum;
-}
-
-std::int64_t ScalarDotRows(const std::int32_t* a, std::ptrdiff_t a_stride,
-                           const std::int32_t* b, std::ptrdiff_t b_stride,
-                           std::size_t rows, std::size_t n) {
-  std::int64_t sum = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int32_t* pa = a + static_cast<std::ptrdiff_t>(r) * a_stride;
-    const std::int32_t* pb = b + static_cast<std::ptrdiff_t>(r) * b_stride;
-    for (std::size_t i = 0; i < n; ++i)
-      sum += static_cast<std::int64_t>(pa[i]) * pb[i];
-  }
   return sum;
 }
 
@@ -66,8 +69,8 @@ std::int32_t ScalarMaxValue(const std::int32_t* in, std::size_t n,
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",        ScalarMacRow, ScalarDot, ScalarDotRows,
-    ScalarWriteback, ScalarRelu,   ScalarMaxValue,
+    "scalar",        ScalarConvTile, ScalarDot,
+    ScalarWriteback, ScalarRelu,     ScalarMaxValue,
 };
 
 }  // namespace

@@ -11,16 +11,27 @@
 //               x86-64 and selected at runtime only when the CPU reports
 //               AVX2
 //
+// Every convolution lowers onto one op, `conv_tile`: the simulator packs
+// one output row's receptive fields into a zero-padded tap panel
+// P[tap][x] (tap = (ic, ky, kx), which absorbs stride, pad, clipping and
+// groups), and the tile op sweeps it in register blocks of
+// kConvTileRows output channels x kConvTileWidth pixels, keeping the
+// int64 accumulators in registers across every tap — the loop tiling
+// and register blocking of an FPGA MAC array, applied on the host.
+//
 // Both backends are BIT-IDENTICAL by construction: every kernel either
 // is elementwise or accumulates exact int64 sums (the simulator only
 // routes a layer through these kernels when the accumulation provably
 // cannot overflow 63 bits, so summation order is immaterial).  The
-// differential test suite pins this equivalence across the model zoo.
+// differential test suite pins this equivalence across the model zoo,
+// and pins golden activation digests that do not depend on either
+// backend.
 //
 // The arena allocator below carries the per-run scratch state (layer
-// activations, accumulator rows, gate buffers) so a steady-state serving
-// replica performs no per-invocation heap churn after warm-up — the
-// iob-versat emitter/arena idiom applied to simulation state.
+// activations, tap panels, accumulator tiles, gate buffers) so a
+// steady-state serving replica performs no per-invocation heap churn
+// after warm-up — the iob-versat emitter/arena idiom applied to
+// simulation state.
 #pragma once
 
 #include <cstddef>
@@ -57,27 +68,29 @@ inline __int128 RoundShiftHalfAway128(__int128 v, int frac_bits) {
 // Kernel ops table
 // ---------------------------------------------------------------------
 
+/// Register-block shape of KernelOps::conv_tile: output channels x
+/// pixels per block.  Tap panels are padded to a multiple of the width.
+inline constexpr std::size_t kConvTileRows = 4;
+inline constexpr std::size_t kConvTileWidth = 8;
+
 /// The vectorisable inner loops of the datapath, dispatched once per
 /// process (or overridden per test).  All pointers may be unaligned.
 struct KernelOps {
   const char* name;
 
-  /// acc[i] += int64(w) * in[i] for i in [0, n) — the stride-1
-  /// weight-broadcast MAC row of a convolution.
-  void (*mac_row)(std::int64_t* acc, const std::int32_t* in,
-                  std::int32_t w, std::size_t n);
+  /// The convolution tile: for j in [0, n_oc) and x in [0, width),
+  ///   acc[j * width + x] = bias[j]
+  ///       + sum_t int64(w[j * taps + t]) * panel[t * width + x]
+  /// where `panel` is one output row's tap panel P[tap][x], `width` is a
+  /// multiple of kConvTileWidth and 1 <= n_oc <= kConvTileRows.
+  void (*conv_tile)(std::int64_t* acc, const std::int32_t* panel,
+                    std::size_t taps, std::size_t width,
+                    const std::int32_t* w, const std::int64_t* bias,
+                    std::size_t n_oc);
 
-  /// sum_i int64(a[i]) * b[i] — the dot product of an FC/recurrent row
-  /// or a strided convolution tap run.
+  /// sum_i int64(a[i]) * b[i] — the dot product of an FC/recurrent row.
   std::int64_t (*dot)(const std::int32_t* a, const std::int32_t* b,
                       std::size_t n);
-
-  /// sum over `rows` strided row pairs of the n-element dot product —
-  /// the fused (ky, kx) tap block of one strided-convolution output
-  /// pixel, saving a dispatch per row.
-  std::int64_t (*dot_rows)(const std::int32_t* a, std::ptrdiff_t a_stride,
-                           const std::int32_t* b, std::ptrdiff_t b_stride,
-                           std::size_t rows, std::size_t n);
 
   /// out[i] = clamp(RoundShiftHalfAway(acc[i], frac_bits), raw_min,
   /// raw_max) — the accumulator writeback stage of the synergy-neuron

@@ -4,7 +4,7 @@
 //
 // Bit-identity with the scalar backend is structural: every op is either
 // elementwise (writeback, relu, max) or an exact int64 accumulation
-// (mac_row, dot) whose summation order cannot matter because the
+// (conv_tile, dot) whose summation order cannot matter because the
 // simulator guarantees no-overflow before routing work here.
 #include "sim/kernels.h"
 
@@ -15,40 +15,63 @@
 namespace db::sim::detail {
 namespace {
 
-void Avx2MacRow(std::int64_t* acc, const std::int32_t* in, std::int32_t w,
-                std::size_t n) {
-  // Low 32 bits of every 64-bit lane hold w; _mm256_mul_epi32
-  // sign-extends exactly those.
-  const __m256i vw =
-      _mm256_set1_epi64x(static_cast<std::uint32_t>(w));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i in64a = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256i in64b = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i + 4)));
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(acc + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(acc + i + 4));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + i),
-        _mm256_add_epi64(a, _mm256_mul_epi32(in64a, vw)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + i + 4),
-        _mm256_add_epi64(b, _mm256_mul_epi32(in64b, vw)));
+/// Stores one channel's 8 pixels from its even-pixel (0, 2, 4, 6) and
+/// odd-pixel (1, 3, 5, 7) accumulators, in pixel order.
+inline void StoreEvenOdd(std::int64_t* out, __m256i even, __m256i odd) {
+  // (0,1 | 4,5) and (2,3 | 6,7), then the 128-bit halves in order.
+  const __m256i lo = _mm256_unpacklo_epi64(even, odd);
+  const __m256i hi = _mm256_unpackhi_epi64(even, odd);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permute2x128_si256(lo, hi, 0x20));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4),
+                      _mm256_permute2x128_si256(lo, hi, 0x31));
+}
+
+void Avx2ConvTile(std::int64_t* acc, const std::int32_t* panel,
+                  std::size_t taps, std::size_t width,
+                  const std::int32_t* w, const std::int64_t* bias,
+                  std::size_t n_oc) {
+  static_assert(kConvTileRows == 4 && kConvTileWidth == 8,
+                "the register block below is written out for 4 x 8");
+  // Rows past n_oc repeat the last real row: computed, never stored.
+  auto row = [&](std::size_t j) { return j < n_oc ? j : n_oc - 1; };
+  const std::int32_t* w0 = w + row(0) * taps;
+  const std::int32_t* w1 = w + row(1) * taps;
+  const std::int32_t* w2 = w + row(2) * taps;
+  const std::int32_t* w3 = w + row(3) * taps;
+  for (std::size_t x0 = 0; x0 < width; x0 += kConvTileWidth) {
+    // _mm256_mul_epi32 multiplies the sign-extended low 32 bits of each
+    // 64-bit lane, so one 8-pixel load feeds the even pixels directly
+    // and the odd pixels after a 32-bit shift.  e<j>/o<j> hold output
+    // channel j's even/odd pixels: 8 accumulators, all in registers.
+    __m256i e0 = _mm256_set1_epi64x(bias[row(0)]), o0 = e0;
+    __m256i e1 = _mm256_set1_epi64x(bias[row(1)]), o1 = e1;
+    __m256i e2 = _mm256_set1_epi64x(bias[row(2)]), o2 = e2;
+    __m256i e3 = _mm256_set1_epi64x(bias[row(3)]), o3 = e3;
+    const std::int32_t* p = panel + x0;
+    for (std::size_t t = 0; t < taps; ++t, p += width) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+      const __m256i v_odd = _mm256_srli_epi64(v, 32);
+      __m256i wt = _mm256_set1_epi32(w0[t]);
+      e0 = _mm256_add_epi64(e0, _mm256_mul_epi32(v, wt));
+      o0 = _mm256_add_epi64(o0, _mm256_mul_epi32(v_odd, wt));
+      wt = _mm256_set1_epi32(w1[t]);
+      e1 = _mm256_add_epi64(e1, _mm256_mul_epi32(v, wt));
+      o1 = _mm256_add_epi64(o1, _mm256_mul_epi32(v_odd, wt));
+      wt = _mm256_set1_epi32(w2[t]);
+      e2 = _mm256_add_epi64(e2, _mm256_mul_epi32(v, wt));
+      o2 = _mm256_add_epi64(o2, _mm256_mul_epi32(v_odd, wt));
+      wt = _mm256_set1_epi32(w3[t]);
+      e3 = _mm256_add_epi64(e3, _mm256_mul_epi32(v, wt));
+      o3 = _mm256_add_epi64(o3, _mm256_mul_epi32(v_odd, wt));
+    }
+    std::int64_t* out = acc + x0;
+    StoreEvenOdd(out, e0, o0);
+    if (n_oc > 1) StoreEvenOdd(out + width, e1, o1);
+    if (n_oc > 2) StoreEvenOdd(out + 2 * width, e2, o2);
+    if (n_oc > 3) StoreEvenOdd(out + 3 * width, e3, o3);
   }
-  for (; i + 4 <= n; i += 4) {
-    const __m256i in64 = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(acc + i));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + i),
-        _mm256_add_epi64(a, _mm256_mul_epi32(in64, vw)));
-  }
-  const std::int64_t w64 = w;
-  for (; i < n; ++i) acc[i] += w64 * in[i];
 }
 
 std::int64_t Avx2Dot(const std::int32_t* a, const std::int32_t* b,
@@ -76,37 +99,6 @@ std::int64_t Avx2Dot(const std::int32_t* a, const std::int32_t* b,
   std::int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
   for (; i < n; ++i) total += static_cast<std::int64_t>(a[i]) * b[i];
   return total;
-}
-
-std::int64_t Avx2DotRows(const std::int32_t* a, std::ptrdiff_t a_stride,
-                         const std::int32_t* b, std::ptrdiff_t b_stride,
-                         std::size_t rows, std::size_t n) {
-  // Vector accumulators persist across rows; the int64 sums are exact,
-  // so accumulation order is immaterial.
-  __m256i sum_even = _mm256_setzero_si256();
-  __m256i sum_odd = _mm256_setzero_si256();
-  std::int64_t tail = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int32_t* pa = a + static_cast<std::ptrdiff_t>(r) * a_stride;
-    const std::int32_t* pb = b + static_cast<std::ptrdiff_t>(r) * b_stride;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256i va =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa + i));
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + i));
-      sum_even = _mm256_add_epi64(sum_even, _mm256_mul_epi32(va, vb));
-      sum_odd = _mm256_add_epi64(
-          sum_odd, _mm256_mul_epi32(_mm256_srli_epi64(va, 32),
-                                    _mm256_srli_epi64(vb, 32)));
-    }
-    for (; i < n; ++i)
-      tail += static_cast<std::int64_t>(pa[i]) * pb[i];
-  }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
-                     _mm256_add_epi64(sum_even, sum_odd));
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3] + tail;
 }
 
 void Avx2Writeback(std::int32_t* out, const std::int64_t* acc,
@@ -182,8 +174,8 @@ std::int32_t Avx2MaxValue(const std::int32_t* in, std::size_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",        Avx2MacRow, Avx2Dot, Avx2DotRows,
-    Avx2Writeback, Avx2Relu,   Avx2MaxValue,
+    "avx2",        Avx2ConvTile, Avx2Dot,
+    Avx2Writeback, Avx2Relu,     Avx2MaxValue,
 };
 
 }  // namespace

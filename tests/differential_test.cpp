@@ -23,11 +23,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/design_cache.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/design_serde.h"
 #include "core/generator.h"
@@ -252,6 +255,111 @@ TEST(Differential, TuneWinnerMatchesDefaultDesignBitExact) {
   }
 }
 
+// --------------------------------------------- golden activation digests
+
+/// Seeded weights with non-zero biases (CreateRandom leaves biases at
+/// zero, which would hide a mis-seeded accumulator).
+WeightStore GoldenWeights(const Network& net) {
+  Rng rng(2016);
+  WeightStore weights = WeightStore::CreateRandom(net, rng);
+  for (const IrLayer* layer : net.ComputeLayers())
+    if (weights.Has(layer->name()))
+      weights.at(layer->name()).bias.FillUniform(rng, -0.5f, 0.5f);
+  return weights;
+}
+
+/// FNV-1a over every layer's raw activations, in layer order.
+std::uint64_t ActivationDigest(const Network& net,
+                               const AcceleratorDesign& design,
+                               const WeightStore& weights,
+                               const Tensor& input) {
+  const FixedFormat& fmt = design.config.format;
+  const std::map<std::string, Tensor> acts =
+      FunctionalSimulator(net, design, weights).RunAll(input);
+  std::uint64_t hash = kFnvOffsetBasis;
+  for (const IrLayer& layer : net.layers()) {
+    for (const float v : acts.at(layer.name()).storage()) {
+      const auto raw = static_cast<std::uint32_t>(
+          fmt.Quantize(static_cast<double>(v)));
+      for (int b = 0; b < 32; b += 8)
+        hash = Fnv1aByte(hash, static_cast<std::uint8_t>(raw >> b));
+    }
+  }
+  return hash;
+}
+
+/// A kernel-independent oracle: every layer's raw activations, pinned
+/// as digests for the whole zoo at DbConstraint() plus one small design
+/// over padded, strided, grouped and 1x1 convolutions at 24 bits
+/// (narrow-path accumulation with operands wider than 16 bits) and at
+/// 32 bits (the __int128 path).  The digests were recorded with an
+/// earlier, independent convolution implementation, so a mistake that
+/// both kernel backends share still fails here.
+TEST(Differential, GoldenActivationDigestsAcrossZoo) {
+  struct Golden {
+    ZooModel model;
+    std::uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {ZooModel::kAnn0Fft, 0x2e2f08a0feec77c6ull},
+      {ZooModel::kAnn1Jpeg, 0x11908d5b2c91b4c9ull},
+      {ZooModel::kAnn2Kmeans, 0x17bd080f7c0abcc0ull},
+      {ZooModel::kHopfield, 0xd3ba65afaac9a31bull},
+      {ZooModel::kCmac, 0xccd76f75aca7da3dull},
+      {ZooModel::kMnist, 0x34d13542092e9ae3ull},
+      {ZooModel::kAlexnet, 0xd2d97fc28d92c944ull},
+      {ZooModel::kNin, 0xf911a8daacf04b8bull},
+      {ZooModel::kCifar, 0xd3e6150da6cfd256ull},
+  };
+  ASSERT_EQ(std::size(kGolden), AllZooModels().size());
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(ZooModelName(g.model));
+    const Network net = BuildZooModel(g.model);
+    const std::uint64_t digest =
+        ActivationDigest(net, GenerateAccelerator(net, DbConstraint()),
+                         GoldenWeights(net), RandomInput(net, 4242));
+    EXPECT_EQ(digest, g.digest) << std::hex << "0x" << digest;
+  }
+
+  const std::string script =
+      "name: \"golden\"\ninput: \"data\"\ninput_dim: 1\n"
+      "input_dim: 4\ninput_dim: 15\ninput_dim: 15\n"
+      "layers { name: \"conv1\" type: CONVOLUTION bottom: \"data\" "
+      "top: \"conv1\" convolution_param { num_output: 10 kernel_size: 5 "
+      "stride: 2 pad: 2 group: 2 } }\n"
+      "layers { name: \"relu1\" type: RELU bottom: \"conv1\" "
+      "top: \"relu1\" }\n"
+      "layers { name: \"cccp1\" type: CONVOLUTION bottom: \"relu1\" "
+      "top: \"cccp1\" convolution_param { num_output: 7 kernel_size: 1 "
+      "stride: 1 } }\n"
+      "layers { name: \"conv2\" type: CONVOLUTION bottom: \"cccp1\" "
+      "top: \"conv2\" convolution_param { num_output: 6 kernel_size: 3 "
+      "stride: 1 pad: 1 } }\n"
+      "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"conv2\" "
+      "top: \"fc\" inner_product_param { num_output: 5 } }\n";
+  // Q8.16 runs on the int64 kernels; Q16.16 fails the narrow-path proof
+  // and runs the __int128 reference tile.  No value of this input
+  // saturates at 24 bits, so both must give the same digest.
+  const Network net = Network::Build(ParseNetworkDef(script));
+  const WeightStore weights = GoldenWeights(net);
+  Tensor input(Shape{4, 15, 15});
+  Rng rng(24);
+  input.FillUniform(rng, -4.0f, 4.0f);
+  for (const int bit_width : {24, 32}) {
+    SCOPED_TRACE("bit_width=" + std::to_string(bit_width));
+    DesignConstraint constraint = DbConstraint();
+    constraint.bit_width = bit_width;
+    constraint.frac_bits = 16;
+    const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+    EXPECT_EQ(
+        FunctionalSimulator(net, design, weights).uses_kernel_backend(),
+        bit_width == 24);
+    const std::uint64_t digest =
+        ActivationDigest(net, design, weights, input);
+    EXPECT_EQ(digest, 0x7e350ed407638bc5ull) << std::hex << "0x" << digest;
+  }
+}
+
 // ------------------------------------------- SIMD vs scalar bit-identity
 
 /// Restores the process-wide kernel backend on scope exit.
@@ -259,11 +367,30 @@ struct BackendGuard {
   ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
 };
 
+/// Every layer's activations under the scalar and then the AVX2
+/// backend, compared layer by layer: a final softmax, classifier or
+/// average pool can hide a mismatch in an earlier convolution.
+void ExpectBackendsAgreeOnEveryLayer(const Network& net,
+                                     const AcceleratorDesign& design,
+                                     const WeightStore& weights,
+                                     const Tensor& input) {
+  sim::SetKernelBackend(sim::KernelBackend::kScalar);
+  const std::map<std::string, Tensor> scalar_acts =
+      FunctionalSimulator(net, design, weights).RunAll(input);
+  sim::SetKernelBackend(sim::KernelBackend::kAvx2);
+  const std::map<std::string, Tensor> simd_acts =
+      FunctionalSimulator(net, design, weights).RunAll(input);
+  for (const IrLayer& layer : net.layers())
+    EXPECT_EQ(scalar_acts.at(layer.name()).storage(),
+              simd_acts.at(layer.name()).storage())
+        << "layer " << layer.name();
+}
+
 /// The kernel layer's headline contract: the AVX2 backend is bit-exact
 /// against the scalar reference over the entire model zoo (every layer
-/// kind the datapath serves: conv stride 1 and strided, pooling, FC,
-/// LRN, recurrent/LSTM, every activation), and over the seeded random
-/// networks above.
+/// kind the datapath serves: padded, strided and grouped conv, pooling,
+/// FC, LRN, recurrent/LSTM, every activation), and over the seeded
+/// random networks above.
 TEST(Differential, SimdAndScalarKernelsBitIdenticalAcrossZoo) {
   if (!sim::Avx2Available())
     GTEST_SKIP() << "AVX2 kernels not available on this host";
@@ -271,39 +398,19 @@ TEST(Differential, SimdAndScalarKernelsBitIdenticalAcrossZoo) {
   for (const ZooModel model : AllZooModels()) {
     SCOPED_TRACE(ZooModelName(model));
     const Network net = BuildZooModel(model);
-    const AcceleratorDesign design =
-        GenerateAccelerator(net, DbConstraint());
-    Rng rng(2016);
-    const WeightStore weights = WeightStore::CreateRandom(net, rng);
-    const Tensor input = RandomInput(net, 4242);
-
-    sim::SetKernelBackend(sim::KernelBackend::kScalar);
-    FunctionalSimulator scalar_sim(net, design, weights);
-    const Tensor scalar_out = scalar_sim.Run(input);
-
-    sim::SetKernelBackend(sim::KernelBackend::kAvx2);
-    FunctionalSimulator simd_sim(net, design, weights);
-    const Tensor simd_out = simd_sim.Run(input);
-
-    EXPECT_EQ(scalar_out.storage(), simd_out.storage());
+    ExpectBackendsAgreeOnEveryLayer(
+        net, GenerateAccelerator(net, DbConstraint()), GoldenWeights(net),
+        RandomInput(net, 4242));
   }
   for (const std::uint64_t seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const Network net =
         Network::Build(ParseNetworkDef(RandomScript(seed)));
-    const AcceleratorDesign design =
-        GenerateAccelerator(net, DbConstraint());
     Rng rng(seed * 1000 + 1);
-    const WeightStore weights = WeightStore::CreateRandom(net, rng);
-    const Tensor input = RandomInput(net, seed * 1000 + 2);
-
-    sim::SetKernelBackend(sim::KernelBackend::kScalar);
-    const Tensor scalar_out =
-        FunctionalSimulator(net, design, weights).Run(input);
-    sim::SetKernelBackend(sim::KernelBackend::kAvx2);
-    const Tensor simd_out =
-        FunctionalSimulator(net, design, weights).Run(input);
-    EXPECT_EQ(scalar_out.storage(), simd_out.storage());
+    ExpectBackendsAgreeOnEveryLayer(
+        net, GenerateAccelerator(net, DbConstraint()),
+        WeightStore::CreateRandom(net, rng),
+        RandomInput(net, seed * 1000 + 2));
   }
 }
 

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -66,49 +68,113 @@ std::vector<std::int32_t> RandomI32(Rng& rng, std::size_t n,
   return v;
 }
 
-TEST(Kernels, MacRowMatchesBruteForceAtAllLengths) {
-  Rng rng(7);
-  // Lengths straddle every vector-width boundary (8/iter + 4/iter + tail).
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 33u}) {
-    const std::vector<std::int32_t> in =
-        RandomI32(rng, n, -(1 << 20), 1 << 20);
-    const std::int32_t w =
-        static_cast<std::int32_t>(rng.UniformInt(1 << 21)) - (1 << 20);
-    std::vector<std::int64_t> want(n, 17);
-    for (std::size_t i = 0; i < n; ++i)
-      want[i] += static_cast<std::int64_t>(w) * in[i];
+/// Brute-force conv_tile: __int128 sums, checked to fit int64.
+std::vector<std::int64_t> ConvTileReference(
+    const std::vector<std::int32_t>& panel, std::size_t taps,
+    std::size_t width, const std::vector<std::int32_t>& w,
+    const std::vector<std::int64_t>& bias, std::size_t n_oc) {
+  std::vector<std::int64_t> want(n_oc * width);
+  for (std::size_t j = 0; j < n_oc; ++j)
+    for (std::size_t x = 0; x < width; ++x) {
+      __int128 sum = bias[j];
+      for (std::size_t t = 0; t < taps; ++t)
+        sum += static_cast<__int128>(w[j * taps + t]) * panel[t * width + x];
+      EXPECT_EQ(sum, static_cast<std::int64_t>(sum));
+      want[j * width + x] = static_cast<std::int64_t>(sum);
+    }
+  return want;
+}
+
+/// Runs conv_tile on every backend for 1..kConvTileRows output channels
+/// and checks the stored rows against the reference; rows past n_oc
+/// must stay untouched.
+void ExpectConvTileMatches(const std::vector<std::int32_t>& panel,
+                           std::size_t taps, std::size_t width,
+                           const std::vector<std::int32_t>& w,
+                           const std::vector<std::int64_t>& bias) {
+  constexpr std::int64_t kSentinel = 0x5a5a5a5a5a5a5a5a;
+  for (std::size_t n_oc = 1; n_oc <= kConvTileRows; ++n_oc) {
+    const std::vector<std::int64_t> want =
+        ConvTileReference(panel, taps, width, w, bias, n_oc);
     for (const KernelOps* ops : Backends()) {
-      std::vector<std::int64_t> acc(n, 17);
-      ops->mac_row(acc.data(), in.data(), w, n);
-      EXPECT_EQ(acc, want) << ops->name << " n=" << n;
+      std::vector<std::int64_t> acc(kConvTileRows * width, kSentinel);
+      ops->conv_tile(acc.data(), panel.data(), taps, width, w.data(),
+                     bias.data(), n_oc);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), acc.begin()))
+          << ops->name << " taps=" << taps << " width=" << width
+          << " n_oc=" << n_oc;
+      EXPECT_TRUE(std::all_of(acc.begin() + static_cast<std::ptrdiff_t>(
+                                                n_oc * width),
+                              acc.end(),
+                              [](std::int64_t v) { return v == kSentinel; }))
+          << ops->name << " wrote past n_oc=" << n_oc;
     }
   }
 }
 
-TEST(Kernels, DotAndDotRowsMatchBruteForce) {
+TEST(Kernels, ConvTileMatchesBruteForce) {
+  // The widest format the simulator's narrow-path proof admits for
+  // 2400 taps plus a bias: 2*(tb-1) + bit_width(2401) <= 62 gives
+  // tb = 26, so operands reach +-2^25 and products 2^50.
+  constexpr std::size_t kMaxTaps = 2400;
+  constexpr int kTotalBits =
+      (62 - static_cast<int>(std::bit_width(kMaxTaps + 1))) / 2 + 1;
+  static_assert(kTotalBits == 26);
+  constexpr std::int32_t kEdge = std::int32_t{1} << (kTotalBits - 1);
+  constexpr std::int64_t kBiasEdge = std::int64_t{1}
+                                     << (2 * (kTotalBits - 1));
+  Rng rng(7);
+  // Tap counts: a 1x1 single channel, one kernel row, Alexnet conv1
+  // (3*11*11) and NiN conv2 (96*5*5).  Output widths straddle the
+  // 8-pixel tile: each is padded up to a multiple of kConvTileWidth.
+  for (const std::size_t taps : {std::size_t{1}, std::size_t{3},
+                                 std::size_t{363}, kMaxTaps}) {
+    for (const std::size_t out_w : {6u, 13u, 27u, 54u, 55u}) {
+      SCOPED_TRACE("taps=" + std::to_string(taps) +
+                   " out_w=" + std::to_string(out_w));
+      const std::size_t width =
+          (out_w + kConvTileWidth - 1) / kConvTileWidth * kConvTileWidth;
+      // Random operands over the whole format range.
+      const std::vector<std::int32_t> panel =
+          RandomI32(rng, taps * width, -kEdge, kEdge);
+      const std::vector<std::int32_t> w =
+          RandomI32(rng, kConvTileRows * taps, -kEdge, kEdge);
+      std::vector<std::int64_t> bias(kConvTileRows);
+      for (std::int64_t& b : bias)
+        b = static_cast<std::int64_t>(rng.UniformInt(
+                static_cast<std::uint64_t>(2 * kBiasEdge) + 1)) -
+            kBiasEdge;
+      ExpectConvTileMatches(panel, taps, width, w, bias);
+
+      // Every operand at +-2^(tb-1): the largest sums of either sign
+      // (a 32-bit product or a lost sign extension would show here).
+      const std::vector<std::int32_t> edge_panel(taps * width, -kEdge);
+      std::vector<std::int32_t> edge_w(kConvTileRows * taps);
+      for (std::size_t j = 0; j < kConvTileRows; ++j)
+        for (std::size_t t = 0; t < taps; ++t)
+          edge_w[j * taps + t] = (j == 1 || (j == 3 && t % 2 == 0))
+                                     ? kEdge
+                                     : -kEdge;
+      const std::vector<std::int64_t> edge_bias = {kBiasEdge, -kBiasEdge,
+                                                   -kBiasEdge, kBiasEdge};
+      ExpectConvTileMatches(edge_panel, taps, width, edge_w, edge_bias);
+    }
+  }
+}
+
+TEST(Kernels, DotMatchesBruteForce) {
   Rng rng(8);
   for (const std::size_t n : {0u, 1u, 5u, 8u, 13u, 32u, 67u}) {
     const std::vector<std::int32_t> a =
-        RandomI32(rng, 3 * n + 8, -(1 << 15), 1 << 15);
+        RandomI32(rng, n, -(1 << 15), 1 << 15);
     const std::vector<std::int32_t> b =
-        RandomI32(rng, 3 * n + 8, -(1 << 15), 1 << 15);
+        RandomI32(rng, n, -(1 << 15), 1 << 15);
     std::int64_t want = 0;
     for (std::size_t i = 0; i < n; ++i)
       want += static_cast<std::int64_t>(a[i]) * b[i];
-    std::int64_t want_rows = 0;
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t i = 0; i < n; ++i)
-        want_rows += static_cast<std::int64_t>(a[r * (n + 2) + i]) *
-                     b[r * (n + 1) + i];
-    for (const KernelOps* ops : Backends()) {
+    for (const KernelOps* ops : Backends())
       EXPECT_EQ(ops->dot(a.data(), b.data(), n), want)
           << ops->name << " n=" << n;
-      EXPECT_EQ(ops->dot_rows(a.data(), static_cast<std::ptrdiff_t>(n + 2),
-                              b.data(), static_cast<std::ptrdiff_t>(n + 1),
-                              3, n),
-                want_rows)
-          << ops->name << " n=" << n;
-    }
   }
 }
 
