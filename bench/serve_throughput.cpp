@@ -75,7 +75,7 @@ int main() {
       for (std::int64_t batch : {1, 4, 16}) {
         obs::MetricsRegistry metrics;
         serve::ServeOptions options;
-        options.workers = workers;
+        options.replicas = workers;
         options.max_batch_size = batch;
         options.metrics = &metrics;
         serve::InferenceServer server(net, design, weights, options);
@@ -130,7 +130,7 @@ int main() {
     };
     auto serve = [&](const fault::FaultPlan& plan) {
       serve::ServeOptions options;
-      options.workers = 2;
+      options.replicas = 2;
       options.max_batch_size = 4;
       options.faults = plan;
       serve::InferenceServer server(net, design, weights, options);

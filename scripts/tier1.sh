@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the default build + full test suite, a Release
 # (-O3) bit-identity stage, then sanitized configurations — ASan+UBSan
-# over the inference server and its substrate, then TSan over the
-# concurrency-labelled suites (server workers, metrics sinks, the
-# logger).
+# over the serving planner, the inference server and its substrate,
+# then TSan over the concurrency-labelled suites (server lanes, metrics
+# sinks, the logger).
 #
 # Usage: scripts/tier1.sh [jobs]
 #
@@ -46,11 +46,14 @@ build-release/tests/kernels_test
 
 echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 cmake --preset asan
+# The pure serving planner (serve_plan_test, including its 10^6-request
+# chaos plan) and the golden serving oracle run here too.
 cmake --build --preset asan -j "${JOBS}" \
-  --target serve_test trace_test common_test perf_model_test \
-           host_runtime_test system_sim_test obs_test
+  --target serve_test serve_plan_test serve_golden_test trace_test \
+           common_test perf_model_test host_runtime_test system_sim_test \
+           obs_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Batcher|RequestQueue|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
+  -R 'Planner|ServeGolden|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
 
 echo "== tier-1: UBSan on the static verifier and RTL lint =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap

@@ -1,23 +1,10 @@
 #include "cluster/accelerator_pool.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
 
 namespace db::cluster {
-
-std::int64_t BusyInWindow(
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& intervals,
-    std::int64_t begin, std::int64_t end) {
-  std::int64_t busy = 0;
-  for (const auto& [lo, hi] : intervals) {
-    if (lo >= end) break;  // sorted: nothing later can overlap
-    busy += std::max<std::int64_t>(
-        0, std::min(hi, end) - std::max(lo, begin));
-  }
-  return busy;
-}
 
 AcceleratorPool::AcceleratorPool(const Network& net,
                                  const AcceleratorDesign& design,

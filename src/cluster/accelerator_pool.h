@@ -1,23 +1,22 @@
 // AcceleratorPool: N replicated instances of one generated design.
 //
 // Each replica owns a private DRAM MemoryImage (copied from the image
-// provisioned once), the SystemContext decoded from those bytes, and
-// its own simulated-cycle clock — the software model of a board (or a
-// fleet) provisioned with N copies of the same accelerator.  The pool
-// also owns one execution lane per replica: a FIFO work deque drained
-// by a dedicated thread, so the wall-clock cost of simulating replicas
-// overlaps while every simulated number stays a pure function of the
-// dispatch order.
+// provisioned once) and the SystemContext decoded from those bytes —
+// the software model of a board (or a fleet) provisioned with N copies
+// of the same accelerator.  The pool also owns one execution lane per
+// replica: a FIFO work deque drained by a dedicated thread, so the
+// wall-clock cost of simulating replicas overlaps.
 //
-// The pool is policy-free: *which* replica a batch lands on is the
-// ShardRouter's decision, and *what* serving a batch means (faults,
-// deadlines, retries) is the caller's task closure.  This keeps the
-// replication substrate reusable for servers, benches and tests alike.
+// The pool is policy-free: *which* replica runs what, and when in
+// simulated time, is decided before anything is posted (serve::Planner
+// for the server); a task closure only touches its replica's image and
+// context.  This keeps the replication substrate reusable for servers,
+// benches and tests alike.
 //
 // Threading contract: Post() calls must come from one thread at a time
-// (the server's dispatcher).  A replica's state — image, context, warm
-// flag, clock, fault log — is written only by its own lane thread while
-// the pool runs, and may be read by anyone after Join().
+// (the server holds its submit lock).  A replica's image and context
+// are touched only by its own lane thread while the pool runs, and may
+// be read by anyone after Join().
 #pragma once
 
 #include <condition_variable>
@@ -30,13 +29,11 @@
 #include <utility>
 #include <vector>
 
-#include "fault/fault_injector.h"
 #include "sim/system_sim.h"
 
 namespace db::cluster {
 
-/// One replica's full state: the simulated accelerator instance plus
-/// the deterministic bookkeeping the serving layer accumulates on it.
+/// One simulated accelerator instance.
 struct Replica {
   explicit Replica(SystemReplica system)
       : image(std::move(system.image)),
@@ -44,30 +41,7 @@ struct Replica {
 
   MemoryImage image;                       // private DRAM bytes
   std::unique_ptr<SystemContext> context;  // decoded from `image`
-
-  // Serving bookkeeping, owned by the replica's lane thread.
-  bool warm = false;            // weights resident after the first image
-  std::int64_t local_cycle = 0; // the replica's own simulated timeline
-  std::int64_t busy_cycles = 0;
-  std::int64_t batches = 0;
-  std::int64_t requests = 0;    // kOk services executed here
-  std::int64_t invocations = 0; // fault-injection invocation coordinate
-  std::size_t fault_cursor = 0; // next unfired event in the fault slice
-  std::vector<fault::FaultRecord> fault_records;
-  std::int64_t scrubs = 0;
-  /// Simulated [start, end) windows this replica's datapath was
-  /// occupied — service runs plus charged recovery (retry attempts,
-  /// stalls, scrubs) — appended in the lane's deterministic service
-  /// order, so the list is sorted and disjoint.  The load time-series
-  /// derives per-replica busy fractions from it.
-  std::vector<std::pair<std::int64_t, std::int64_t>> busy_intervals;
 };
-
-/// Cycles of `intervals` (sorted, disjoint) falling inside the window
-/// [begin, end) — the per-replica busy share a time-series sample reads.
-std::int64_t BusyInWindow(
-    const std::vector<std::pair<std::int64_t, std::int64_t>>& intervals,
-    std::int64_t begin, std::int64_t end);
 
 class AcceleratorPool {
  public:

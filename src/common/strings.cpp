@@ -1,8 +1,11 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+
+#include "common/error.h"
 
 namespace db {
 
@@ -71,6 +74,18 @@ std::string StrFormat(const char* fmt, ...) {
     std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   va_end(args_copy);
   return out;
+}
+
+std::int64_t ParseInt(std::string_view text, std::int64_t min,
+                      std::int64_t max, std::string_view what) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min ||
+      value > max)
+    DB_THROW(what << ": '" << text << "' is not an integer in [" << min
+                  << ", " << max << "]");
+  return value;
 }
 
 std::string ToIdentifier(std::string_view name) {

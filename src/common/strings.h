@@ -1,6 +1,7 @@
 // Small string utilities shared by the frontend parser and RTL emitters.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,12 @@ std::string Join(const std::vector<std::string>& items,
 /// printf-style formatting into std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Parse `text` as a whole decimal integer in [min, max].  Anything
+/// else — empty text, stray characters, overflow, out of range — throws
+/// db::Error naming `what` (e.g. the flag).
+std::int64_t ParseInt(std::string_view text, std::int64_t min,
+                      std::int64_t max, std::string_view what);
 
 /// Sanitise an arbitrary name into a legal Verilog identifier.
 std::string ToIdentifier(std::string_view name);

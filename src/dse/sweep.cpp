@@ -1,6 +1,7 @@
 #include "dse/sweep.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -28,15 +29,8 @@ std::vector<std::string> SplitNonEmpty(const std::string& text, char sep) {
 
 std::int64_t ParseIntValue(const std::string& axis,
                            const std::string& value) {
-  if (value.empty() || value.find_first_not_of("0123456789") !=
-                           std::string::npos)
-    throw Error("sweep axis '" + axis + "': bad value '" + value +
-                "' (expected a positive integer)");
-  try {
-    return std::stoll(value);
-  } catch (const std::exception&) {
-    throw Error("sweep axis '" + axis + "': bad value '" + value + "'");
-  }
+  return ParseInt(value, 0, std::numeric_limits<std::int64_t>::max(),
+                  "sweep axis '" + axis + "'");
 }
 
 template <typename T>

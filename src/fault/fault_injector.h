@@ -1,13 +1,12 @@
-// FaultInjector: hands a FaultPlan's events to the serving workers, and
+// FaultInjector: hands a FaultPlan's events to the serving planner, and
 // the integrity primitives (weight-region checksum, scrub-and-reload)
-// the workers use to survive them.
+// the replica lanes use to survive them.
 //
-// Threading model: the plan is partitioned per worker once, at
-// construction; afterwards every worker thread reads only its own
-// immutable slice (ForWorker), so no locking is needed on the hot path.
-// Each worker keeps its own cursor into its slice and fires every event
-// whose `invocation` coordinate has been reached — the firing order is
-// a pure function of the plan and the (deterministic) schedule.
+// The plan is partitioned per replica once, at construction, into an
+// immutable datapath slice (ForWorker) and a cluster slice
+// (ClusterForReplica).  The planner keeps a cursor into each and fires
+// every event whose `invocation` coordinate has been reached — the
+// firing order is a pure function of the plan and the schedule.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +46,9 @@ class FaultInjector {
   /// Replica `r`'s cluster-level events (kCrash / kHang / kSlow /
   /// kRouteFail), sorted by invocation.  The `invocation` coordinate of
   /// a cluster event counts *scheduled* services on the replica — the
-  /// dispatcher's view — not lane-side attempts; the dispatcher fires
-  /// each event at the dispatch whose invocation window reaches it.
+  /// planner's routing view — not datapath invocations; the planner
+  /// fires each event at the dispatch whose invocation window reaches
+  /// it.
   const std::vector<FaultEvent>& ClusterForReplica(int replica) const;
 
   /// True if `worker`'s slice contains any weight-region bit flip — the

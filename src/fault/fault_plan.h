@@ -27,7 +27,7 @@ enum class FaultKind {
   kTransient,  // one invocation attempt fails and must be retried
   kStall,      // the worker stalls for `stall_cycles` simulated cycles
   // Cluster-level kinds (see IsClusterFault): consumed by the serving
-  // dispatcher against replica-level state, never by a replica lane.
+  // serving planner's routing view, never by a replica's datapath.
   kCrash,      // the replica dies; in-flight work re-dispatches, the
                // replica readmits after `down_cycles` plus a scrub
   kHang,       // unresponsive for `stall_cycles`; heartbeats go missing
@@ -51,7 +51,7 @@ constexpr const char* FaultKindName(FaultKind kind) {
 
 /// Cluster faults perturb replica availability (crash / hang / slow /
 /// route failure) instead of a worker's datapath state; the injector
-/// deals them into per-replica cluster slices the dispatcher consumes.
+/// deals them into per-replica cluster slices the planner consumes.
 constexpr bool IsClusterFault(FaultKind kind) {
   return kind == FaultKind::kCrash || kind == FaultKind::kHang ||
          kind == FaultKind::kSlow || kind == FaultKind::kRouteFail;

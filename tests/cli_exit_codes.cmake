@@ -28,6 +28,10 @@ expect_exit(2 serve --zoo MNIST --router=bogus)          # db::Error
 expect_exit(2 serve --zoo MNIST --breaker=bogus-key=1)   # db::Error
 expect_exit(2 serve --zoo MNIST --breaker=failures=0)    # db::Error
 expect_exit(2 serve --zoo MNIST --hedge-after-cycles -1) # db::Error
+expect_exit(2 serve --zoo MNIST --requests abc)          # db::Error
+expect_exit(2 serve --zoo MNIST --requests 99999999999)  # db::Error
+expect_exit(2 serve --zoo MNIST --queue-capacity -1)     # db::Error
+expect_exit(2 serve --zoo MNIST --batch four)            # db::Error
 expect_exit(3 --self-test-internal-error)                # DB_CHECK
 
 # The cluster-resilience flags fail fast (before any generation work)

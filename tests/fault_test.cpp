@@ -201,7 +201,7 @@ TEST(FaultCampaign, SurvivesBitFlipsTransientsAndStalls) {
   auto serve = [&](const FaultPlan& faults) {
     obs::MetricsRegistry metrics;
     ServeOptions options;
-    options.workers = 2;
+    options.replicas = 2;
     options.max_batch_size = 4;
     options.faults = faults;
     options.metrics = &metrics;

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,21 +13,14 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/tracer.h"
-#include "serve/batcher.h"
 #include "serve/inference_server.h"
-#include "serve/request_queue.h"
 #include "sim/host_runtime.h"
 
 namespace db {
 namespace {
 
 using serve::AdmissionPolicy;
-using serve::Batch;
-using serve::Batcher;
-using serve::BatchPolicy;
 using serve::InferenceServer;
-using serve::PendingRequest;
-using serve::RequestQueue;
 using serve::ServedRequest;
 using serve::ServeOptions;
 using serve::ServerState;
@@ -63,99 +55,6 @@ struct Fixture {
   }
 };
 
-PendingRequest Req(std::int64_t id, std::int64_t arrival) {
-  PendingRequest r;
-  r.id = id;
-  r.arrival_cycle = arrival;
-  return r;
-}
-
-TEST(Batcher, ClosesOnMaxBatchSize) {
-  Batcher batcher(BatchPolicy{.max_batch_size = 3, .linger_cycles = 1000});
-  EXPECT_FALSE(batcher.Add(Req(0, 10)).has_value());
-  EXPECT_FALSE(batcher.Add(Req(1, 20)).has_value());
-  const auto batch = batcher.Add(Req(2, 30));
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->requests.size(), 3u);
-  EXPECT_EQ(batch->ready_cycle, 30);  // full batch goes immediately
-  EXPECT_FALSE(batcher.Flush().has_value());
-}
-
-TEST(Batcher, LingerExpiryClosesPartialBatch) {
-  Batcher batcher(BatchPolicy{.max_batch_size = 8, .linger_cycles = 100});
-  EXPECT_FALSE(batcher.Add(Req(0, 50)).has_value());
-  EXPECT_FALSE(batcher.Add(Req(1, 120)).has_value());  // inside window
-  const auto batch = batcher.Add(Req(2, 151));  // outside 50+100
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->requests.size(), 2u);
-  EXPECT_EQ(batch->ready_cycle, 150);  // first arrival + linger
-  const auto rest = batcher.Flush();
-  ASSERT_TRUE(rest.has_value());
-  EXPECT_EQ(rest->requests.size(), 1u);
-  EXPECT_EQ(rest->ready_cycle, 151);  // flush dispatches immediately
-}
-
-TEST(Batcher, RejectsDecreasingArrivals) {
-  Batcher batcher(BatchPolicy{.max_batch_size = 4, .linger_cycles = 0});
-  EXPECT_FALSE(batcher.Add(Req(0, 100)).has_value());
-  EXPECT_THROW(batcher.Add(Req(1, 99)), std::logic_error);
-}
-
-TEST(RequestQueue, FifoAndCloseSemantics) {
-  RequestQueue queue(4);
-  queue.Push(Req(0, 0));
-  queue.Push(Req(1, 0));
-  queue.Close();
-  EXPECT_THROW(queue.Push(Req(2, 0)), Error);
-  EXPECT_EQ(queue.Pop()->id, 0);
-  EXPECT_EQ(queue.Pop()->id, 1);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(RequestQueue, RejectPolicyRefusesWhenFull) {
-  RequestQueue queue(2, AdmissionPolicy::kReject);
-  EXPECT_EQ(queue.Push(Req(0, 0)).status, StatusCode::kOk);
-  EXPECT_EQ(queue.Push(Req(1, 0)).status, StatusCode::kOk);
-  const auto refused = queue.Push(Req(2, 0));
-  EXPECT_EQ(refused.status, StatusCode::kRejected);
-  EXPECT_FALSE(refused.shed.has_value());
-  EXPECT_EQ(queue.rejected(), 1);
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.Pop()->id, 0);  // admitted work is untouched
-  EXPECT_EQ(queue.Pop()->id, 1);
-}
-
-TEST(RequestQueue, ShedOldestEvictsFrontWhenFull) {
-  RequestQueue queue(2, AdmissionPolicy::kShedOldest);
-  queue.Push(Req(0, 0));
-  queue.Push(Req(1, 10));
-  const auto result = queue.Push(Req(2, 20));
-  EXPECT_EQ(result.status, StatusCode::kOk);  // the new request is in
-  ASSERT_TRUE(result.shed.has_value());
-  EXPECT_EQ(result.shed->id, 0);  // oldest entry paid for it
-  EXPECT_EQ(queue.shed(), 1);
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.Pop()->id, 1);
-  EXPECT_EQ(queue.Pop()->id, 2);
-}
-
-TEST(RequestQueue, CloseWakesBlockedPushWithShutdownError) {
-  // A producer blocked inside Push (kBlock, queue full) must observe
-  // Close() as db::ShutdownError instead of deadlocking.  The throw is
-  // guaranteed on both sides of the race: if Close lands first the
-  // next Push call throws immediately.
-  RequestQueue queue(1);
-  queue.Push(Req(0, 0));
-  std::thread producer([&] {
-    EXPECT_THROW(queue.Push(Req(1, 0)), ShutdownError);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.Close();
-  producer.join();
-  EXPECT_EQ(queue.Pop()->id, 0);  // queued work still drains
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
 TEST(InferenceServer, MatchesSequentialHostRuntimeBitExactly) {
   Fixture fx;
   const auto inputs = fx.Inputs(6);
@@ -166,7 +65,7 @@ TEST(InferenceServer, MatchesSequentialHostRuntimeBitExactly) {
 
   for (int workers : {2, 3}) {
     ServeOptions options;
-    options.workers = workers;
+    options.replicas = workers;
     options.max_batch_size = 2;
     InferenceServer server(fx.net, fx.design, fx.weights, options);
     for (const Tensor& input : inputs) server.Submit(input, 0);
@@ -183,7 +82,7 @@ TEST(InferenceServer, DeterministicScheduleAcrossRuns) {
   const auto inputs = fx.Inputs(9);
   auto run = [&] {
     ServeOptions options;
-    options.workers = 3;
+    options.replicas = 3;
     options.max_batch_size = 2;
     options.linger_cycles = 500;
     InferenceServer server(fx.net, fx.design, fx.weights, options);
@@ -214,7 +113,7 @@ TEST(InferenceServer, ThroughputScalesWithWorkers) {
   const auto inputs = fx.Inputs(12);
   auto makespan = [&](int workers) {
     ServeOptions options;
-    options.workers = workers;
+    options.replicas = workers;
     options.max_batch_size = 1;
     InferenceServer server(fx.net, fx.design, fx.weights, options);
     for (const Tensor& input : inputs) server.Submit(input, 0);
@@ -231,7 +130,7 @@ TEST(InferenceServer, ThroughputScalesWithWorkers) {
 TEST(InferenceServer, ScheduleMatchesColdSteadyCycleMath) {
   Fixture fx(ZooModel::kCifar);  // weights fit the buffer: steady < cold
   ServeOptions options;
-  options.workers = 2;
+  options.replicas = 2;
   options.max_batch_size = 2;
   InferenceServer server(fx.net, fx.design, fx.weights, options);
   for (const Tensor& input : fx.Inputs(4)) server.Submit(input, 0);
@@ -257,7 +156,7 @@ TEST(InferenceServer, ScheduleMatchesColdSteadyCycleMath) {
 TEST(InferenceServer, StatsAggregateAndPercentilesOrdered) {
   Fixture fx(ZooModel::kAnn1Jpeg);
   ServeOptions options;
-  options.workers = 2;
+  options.replicas = 2;
   options.max_batch_size = 4;
   options.queue_capacity = 2;  // exercise back-pressure
   InferenceServer server(fx.net, fx.design, fx.weights, options);
@@ -296,7 +195,7 @@ TEST(InferenceServer, ObservabilitySpansTileLatency) {
   const auto inputs = fx.Inputs(6);
   auto run = [&](obs::Tracer& tracer, obs::MetricsRegistry& metrics) {
     ServeOptions options;
-    options.workers = 2;
+    options.replicas = 2;
     options.max_batch_size = 2;
     options.linger_cycles = 100;
     options.tracer = &tracer;
@@ -395,7 +294,7 @@ TEST(InferenceServer, DeadlineExpiredRequestSkipsDatapath) {
   // invocation finishes, so an absolute deadline of 1 cycle expires it.
   Fixture fx(ZooModel::kAnn0Fft);
   ServeOptions options;
-  options.workers = 1;
+  options.replicas = 1;
   options.max_batch_size = 1;
   InferenceServer server(fx.net, fx.design, fx.weights, options);
   server.Submit(fx.RandomInput(1), 0);
@@ -426,7 +325,7 @@ TEST(InferenceServer, DefaultRelativeDeadlineApplies) {
   // but the request that starts immediately.
   Fixture fx(ZooModel::kAnn0Fft);
   ServeOptions options;
-  options.workers = 1;
+  options.replicas = 1;
   options.max_batch_size = 1;
   options.deadline_cycles = 1;
   InferenceServer server(fx.net, fx.design, fx.weights, options);
@@ -448,7 +347,7 @@ TEST(InferenceServer, ShedOldestIsDeterministicInSimulatedTime) {
   const auto inputs = fx.Inputs(8);
   auto run = [&] {
     ServeOptions options;
-    options.workers = 1;
+    options.replicas = 1;
     options.max_batch_size = 4;
     options.queue_capacity = 2;
     options.admission = AdmissionPolicy::kShedOldest;
@@ -487,7 +386,7 @@ TEST(InferenceServer, ShedOldestIsDeterministicInSimulatedTime) {
 TEST(InferenceServer, RejectPolicyRefusesOverload) {
   Fixture fx(ZooModel::kAnn0Fft);
   ServeOptions options;
-  options.workers = 1;
+  options.replicas = 1;
   options.max_batch_size = 4;
   options.queue_capacity = 2;
   options.admission = AdmissionPolicy::kReject;
@@ -520,7 +419,7 @@ TEST(InferenceServer, LatencyPercentilesMatchTheRegistryHistogram) {
   Fixture fx(ZooModel::kMnist);
   obs::MetricsRegistry metrics;
   ServeOptions options;
-  options.workers = 2;
+  options.replicas = 2;
   options.max_batch_size = 4;
   options.metrics = &metrics;
   InferenceServer server(fx.net, fx.design, fx.weights, options);
@@ -543,7 +442,7 @@ TEST(InferenceServer, LoadTimeSeriesIsDeterministicAndWellFormed) {
   const auto inputs = fx.Inputs(12);
   auto run = [&](obs::TimeSeriesRecorder& ts) {
     ServeOptions options;
-    options.workers = 2;
+    options.replicas = 2;
     options.max_batch_size = 2;
     options.timeseries = &ts;
     InferenceServer server(fx.net, fx.design, fx.weights, options);
@@ -606,7 +505,7 @@ TEST(InferenceServer, TimeSeriesHonoursExplicitSampleInterval) {
   Fixture fx(ZooModel::kMnist);
   obs::TimeSeriesRecorder ts;
   ServeOptions options;
-  options.workers = 1;
+  options.replicas = 1;
   options.max_batch_size = 4;
   options.timeseries = &ts;
   options.timeseries_interval_cycles = 1000;
@@ -617,6 +516,32 @@ TEST(InferenceServer, TimeSeriesHonoursExplicitSampleInterval) {
   const auto depth = ts.SeriesOf("load.queue_depth");
   ASSERT_GE(depth.size(), 2u);
   EXPECT_EQ(depth[1].cycle - depth[0].cycle, 1000);
+}
+
+TEST(InferenceServer, RejectsFlipsWhoseLabelContradictsTheirAddress) {
+  // Scrubs are planned from each flip's weight_region label, so a flip
+  // outside the image or labelled against its region is refused.
+  Fixture fx(ZooModel::kAnn0Fft);
+  std::int64_t weight_addr = -1;
+  for (const MemoryRegion& region : fx.design.memory_map.regions())
+    if (StartsWith(region.name, "weights:")) weight_addr = region.base;
+  ASSERT_GE(weight_addr, 0);
+  fault::FaultEvent flip;
+  flip.kind = fault::FaultKind::kBitFlip;
+  flip.addr = weight_addr;
+  flip.weight_region = false;
+  ServeOptions options;
+  options.faults.events.push_back(flip);
+  EXPECT_THROW(InferenceServer(fx.net, fx.design, fx.weights, options),
+               Error);
+  options.faults.events[0].weight_region = true;
+  options.faults.events[0].addr = fx.design.memory_map.total_bytes();
+  EXPECT_THROW(InferenceServer(fx.net, fx.design, fx.weights, options),
+               Error);
+  options.faults.events[0].addr = weight_addr;
+  InferenceServer server(fx.net, fx.design, fx.weights, options);
+  server.Submit(fx.RandomInput(1), 0);
+  EXPECT_EQ(server.Drain()[0].status, StatusCode::kOk);
 }
 
 TEST(RetryBackoff, PinsTheSaturatingShiftArithmetic) {
@@ -644,13 +569,15 @@ TEST(RetryBackoff, PinsTheSaturatingShiftArithmetic) {
 
 // Drain racing concurrent Submits must never lose accounting: every
 // Submit either returns an id (its record exists and completes) or
-// throws ShutdownError — under all three admission policies.  Run with
-// the `threads` label under TSan by scripts/tier1.sh.
+// throws ShutdownError — under all three admission policies.  Submit
+// plans inline and never blocks on a queue, so Drain simply closes
+// intake between two Submits.  Run with the `threads` label under TSan
+// by scripts/tier1.sh.
 void DrainVsSubmitRace(AdmissionPolicy admission) {
   Fixture fx(ZooModel::kAnn0Fft);
   const Tensor input = fx.RandomInput(9);
   ServeOptions options;
-  options.workers = 2;
+  options.replicas = 2;
   options.max_batch_size = 2;
   options.queue_capacity = 4;
   options.admission = admission;
@@ -676,12 +603,9 @@ void DrainVsSubmitRace(AdmissionPolicy admission) {
   for (std::thread& t : submitters) t.join();
   EXPECT_EQ(server.state(), ServerState::kStopped);
 
-  // Exact accounting: every Submit that returned an id has a record; a
-  // Submit that lost the race to Drain while blocked on the queue is
-  // registered, completed as kRejected and then throws — so the record
-  // count can exceed `accepted` but never the attempt count, every kOk
-  // record belongs to an accepted Submit, and the stats partition all
-  // records without loss.
+  // Exact accounting: every Submit that returned an id has a record,
+  // every kOk record belongs to an accepted Submit, and the stats
+  // partition all records without loss.
   const std::int64_t ok_accepted = accepted.load(std::memory_order_relaxed);
   EXPECT_GE(served.size(), static_cast<std::size_t>(ok_accepted));
   EXPECT_LE(served.size(),

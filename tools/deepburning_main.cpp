@@ -61,6 +61,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -202,8 +203,7 @@ struct ServeCliOptions {
   std::string breaker;    // circuit-breaker spec, "failures=N,cooldown=M"
   std::string design_cache;  // content-addressed generator cache dir
   int requests = 64;
-  int workers = 2;
-  int replicas = 0;  // 0 = use --workers
+  int replicas = 2;
   std::int64_t batch = 4;
   std::int64_t linger = 0;
   std::int64_t arrival_gap = 0;
@@ -244,8 +244,7 @@ void PrintServeUsage() {
       "  --constraint   designer resource constraint script\n"
       "  --requests     number of requests to submit (default 64)\n"
       "  --replicas     accelerator replicas in the pool, each with a\n"
-      "                 private DRAM image (default: --workers)\n"
-      "  --workers      legacy spelling of --replicas (default 2)\n"
+      "                 private DRAM image (default 2)\n"
       "  --router       batch routing policy: least-loaded (default),\n"
       "                 round-robin, hash-affinity\n"
       "  --design-cache content-addressed cache directory for generator\n"
@@ -254,9 +253,11 @@ void PrintServeUsage() {
       "  --linger       cycles a partial batch waits to fill (default 0)\n"
       "  --arrival-gap  cycles between request arrivals (default 0: all "
       "at once)\n"
-      "  --queue-capacity  bounded request-queue depth (default 64)\n"
+      "  --queue-capacity  simulated queue depth: live requests in the "
+      "open\n"
+      "                 batch (default 64)\n"
       "  --admission    full-queue policy, evaluated in simulated time:\n"
-      "                 block (back-pressure, default), reject "
+      "                 block (admit anyway, default), reject "
       "(kRejected),\n"
       "                 shed-oldest (evict the oldest queued request)\n"
       "  --deadline-cycles  relative deadline: service must start within\n"
@@ -404,6 +405,7 @@ int RunVerify(int argc, char** argv) {
 
 int RunServe(int argc, char** argv) {
   using namespace db;
+  constexpr std::int64_t kMaxCount = std::numeric_limits<std::int64_t>::max();
   ServeCliOptions opts;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -418,26 +420,24 @@ int RunServe(int argc, char** argv) {
     } else if (arg == "--constraint") {
       opts.constraint_path = next();
     } else if (arg == "--requests") {
-      opts.requests = std::stoi(next());
-    } else if (arg == "--workers") {
-      opts.workers = std::stoi(next());
+      opts.requests = static_cast<int>(
+          ParseInt(next(), 1, std::numeric_limits<int>::max(), arg));
     } else if (arg == "--replicas") {
-      opts.replicas = std::stoi(next());
-      if (opts.replicas < 1)
-        throw Error("--replicas must be at least 1");
+      opts.replicas = static_cast<int>(
+          ParseInt(next(), 1, std::numeric_limits<int>::max(), arg));
     } else if (arg == "--batch") {
-      opts.batch = std::stoll(next());
+      opts.batch = ParseInt(next(), 1, kMaxCount, arg);
     } else if (arg == "--linger") {
-      opts.linger = std::stoll(next());
+      opts.linger = ParseInt(next(), 0, kMaxCount, arg);
     } else if (arg == "--arrival-gap") {
-      opts.arrival_gap = std::stoll(next());
+      opts.arrival_gap = ParseInt(next(), 0, kMaxCount, arg);
     } else if (arg == "--queue-capacity") {
       opts.queue_capacity =
-          static_cast<std::size_t>(std::stoll(next()));
+          static_cast<std::size_t>(ParseInt(next(), 1, kMaxCount, arg));
     } else if (arg == "--deadline-cycles") {
-      opts.deadline_cycles = std::stoll(next());
+      opts.deadline_cycles = ParseInt(next(), 0, kMaxCount, arg);
     } else if (arg == "--hedge-after-cycles") {
-      opts.hedge_after_cycles = std::stoll(next());
+      opts.hedge_after_cycles = ParseInt(next(), 0, kMaxCount, arg);
     } else if (FlagValue(arg, "--faults", next, &opts.faults) ||
                FlagValue(arg, "--admission", next, &opts.admission) ||
                FlagValue(arg, "--router", next, &opts.router) ||
@@ -459,18 +459,6 @@ int RunServe(int argc, char** argv) {
     PrintServeUsage();
     return opts.help ? 0 : 2;
   }
-  if (opts.requests < 1) throw Error("--requests must be at least 1");
-  if (opts.workers < 1) throw Error("--workers must be at least 1");
-  if (opts.batch < 1) throw Error("--batch must be at least 1");
-  if (opts.linger < 0) throw Error("--linger must be non-negative");
-  if (opts.arrival_gap < 0)
-    throw Error("--arrival-gap must be non-negative");
-  if (opts.queue_capacity < 1)
-    throw Error("--queue-capacity must be at least 1");
-  if (opts.deadline_cycles < 0)
-    throw Error("--deadline-cycles must be non-negative");
-  if (opts.hedge_after_cycles < 0)
-    throw Error("--hedge-after-cycles must be non-negative");
   // Validate the robustness flags before the (expensive) generation so
   // a typo fails fast.
   const serve::AdmissionPolicy admission =
@@ -485,7 +473,6 @@ int RunServe(int argc, char** argv) {
   fault::FaultCampaignSpec campaign;
   if (!opts.faults.empty())
     campaign = fault::ParseFaultCampaign(opts.faults);
-  const int replicas = opts.replicas > 0 ? opts.replicas : opts.workers;
 
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
@@ -519,7 +506,6 @@ int RunServe(int argc, char** argv) {
   obs::TimeSeriesRecorder timeseries;
   serve::ServeOptions server_opts;
   if (!opts.timeseries_out.empty()) server_opts.timeseries = &timeseries;
-  server_opts.workers = opts.workers;
   server_opts.replicas = opts.replicas;
   server_opts.router = router;
   server_opts.affinity_hash = key.hash;
@@ -536,7 +522,7 @@ int RunServe(int argc, char** argv) {
   server_opts.admission = admission;
   if (!opts.faults.empty()) {
     fault::FaultCampaignSpec sized = campaign;
-    sized.workers = replicas;
+    sized.workers = opts.replicas;
     server_opts.faults =
         fault::FaultPlan::Generate(sized, design.memory_map);
   }
@@ -545,7 +531,7 @@ int RunServe(int argc, char** argv) {
   std::printf(
       "serving '%s': %d requests, %d replicas (%s router), batch <= %lld, "
       "linger %lld cycles, arrivals every %lld cycles\n",
-      net.name().c_str(), opts.requests, replicas,
+      net.name().c_str(), opts.requests, opts.replicas,
       cluster::RouterPolicyName(router).c_str(),
       static_cast<long long>(opts.batch),
       static_cast<long long>(opts.linger),
