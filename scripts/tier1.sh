@@ -40,7 +40,7 @@ echo "== tier-1: Release (-O3) bit-identity (ctest -L differential) =="
 # kernel brute-force tests must still hold bit for bit.
 cmake --preset release
 cmake --build --preset release -j "${JOBS}" \
-  --target differential_test kernels_test deepburning
+  --target differential_test serve_golden_test kernels_test deepburning
 ctest --preset release -j "${JOBS}" -L differential
 build-release/tests/kernels_test
 

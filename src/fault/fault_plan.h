@@ -27,7 +27,7 @@ enum class FaultKind {
   kTransient,  // one invocation attempt fails and must be retried
   kStall,      // the worker stalls for `stall_cycles` simulated cycles
   // Cluster-level kinds (see IsClusterFault): consumed by the serving
-  // serving planner's routing view, never by a replica's datapath.
+  // planner's routing view, never by a replica's datapath.
   kCrash,      // the replica dies; in-flight work re-dispatches, the
                // replica readmits after `down_cycles` plus a scrub
   kHang,       // unresponsive for `stall_cycles`; heartbeats go missing
