@@ -58,6 +58,23 @@ TEST(Strings, StrFormatBasic) {
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
 }
 
+TEST(Strings, ParseIntAcceptsOnlyWholeIntegersInRange) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(ParseInt("42", 0, 100, "--n"), 42);
+  EXPECT_EQ(ParseInt("-7", -10, 10, "--n"), -7);
+  EXPECT_EQ(ParseInt("9223372036854775807", 0, kMax, "--n"), kMax);
+  for (const char* bad : {"", "abc", "12x", " 12", "+12", "1.5",
+                          "9223372036854775808", "-1", "101"})
+    EXPECT_THROW(ParseInt(bad, 0, 100, "--n"), Error) << bad;
+  try {
+    ParseInt("abc", 1, 5, "--requests");
+    FAIL() << "expected db::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--requests: 'abc' is not an integer in [1, 5]");
+  }
+}
+
 TEST(Strings, ToIdentifierSanitises) {
   EXPECT_EQ(ToIdentifier("conv1"), "conv1");
   EXPECT_EQ(ToIdentifier("my-layer.0"), "my_layer_0");
