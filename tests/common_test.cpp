@@ -1,10 +1,15 @@
-// Tests for the common substrate: strings, RNG, math utilities, errors.
+// Tests for the common substrate: strings, RNG, math utilities, errors,
+// fixed-point quantisation edges.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "common/error.h"
+#include "common/fixed_point.h"
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -72,6 +77,59 @@ TEST(Strings, ParseIntAcceptsOnlyWholeIntegersInRange) {
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()),
               "--requests: 'abc' is not an integer in [1, 5]");
+  }
+}
+
+/// The libm formulation of FixedFormat::Quantize: scale by ldexp,
+/// round half away from zero with floor/ceil, saturate.
+std::int64_t ReferenceQuantize(const FixedFormat& fmt, double value) {
+  if (std::isnan(value)) return 0;
+  const double scaled = std::ldexp(value, fmt.frac_bits());
+  const double rounded = scaled >= 0 ? std::floor(scaled + 0.5)
+                                     : std::ceil(scaled - 0.5);
+  if (rounded >= static_cast<double>(fmt.raw_max())) return fmt.raw_max();
+  if (rounded <= static_cast<double>(fmt.raw_min())) return fmt.raw_min();
+  return static_cast<std::int64_t>(rounded);
+}
+
+TEST(FixedPoint, QuantizeMatchesTheLibmReferenceOnEdges) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (int tb = 2; tb <= 32; ++tb) {
+    for (int fb = 0; fb < tb; ++fb) {
+      const FixedFormat fmt(tb, fb);
+      const double lsb = std::ldexp(1.0, -fb);
+      std::vector<double> inputs = {
+          0.0, -0.0, std::nan(""), kInf, -kInf, FLT_MAX, -FLT_MAX,
+          std::numeric_limits<float>::denorm_min(),
+          -std::numeric_limits<float>::denorm_min(),
+          std::numeric_limits<double>::denorm_min(),
+          // The largest double below half an LSB: x + 0.5 rounds up.
+          std::nextafter(0.5, 0.0) * lsb,
+          -std::nextafter(0.5, 0.0) * lsb};
+      // raw_max / raw_min and one LSB either side.
+      for (const std::int64_t edge : {fmt.raw_max(), fmt.raw_min()})
+        for (std::int64_t d = -1; d <= 1; ++d)
+          inputs.push_back(static_cast<double>(edge + d) * lsb);
+      // Ties at +-(k + 0.5) LSB near zero and near both bounds, plus
+      // their neighbouring doubles.
+      std::vector<std::int64_t> ks;
+      for (std::int64_t k = 0; k < 8; ++k) ks.push_back(k);
+      for (std::int64_t d = -2; d <= 1; ++d) {
+        ks.push_back(fmt.raw_max() + d);
+        ks.push_back(-fmt.raw_min() + d);
+      }
+      for (const std::int64_t k : ks) {
+        for (const double sign : {1.0, -1.0}) {
+          const double tie = sign * (static_cast<double>(k) + 0.5) * lsb;
+          inputs.push_back(tie);
+          inputs.push_back(std::nextafter(tie, kInf));
+          inputs.push_back(std::nextafter(tie, -kInf));
+        }
+      }
+      for (const double v : inputs)
+        ASSERT_EQ(fmt.Quantize(v), ReferenceQuantize(fmt, v))
+            << fmt.ToString() << " total_bits=" << tb << " value=" << v;
+    }
   }
 }
 
