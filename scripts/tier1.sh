@@ -40,20 +40,22 @@ echo "== tier-1: Release (-O3) bit-identity (ctest -L differential) =="
 # kernel brute-force tests must still hold bit for bit.
 cmake --preset release
 cmake --build --preset release -j "${JOBS}" \
-  --target differential_test serve_golden_test kernels_test deepburning
+  --target differential_test serve_golden_test provisioning_test \
+           kernels_test deepburning
 ctest --preset release -j "${JOBS}" -L differential
 build-release/tests/kernels_test
 
 echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 cmake --preset asan
 # The pure serving planner (serve_plan_test, including its 10^6-request
-# chaos plan) and the golden serving oracle run here too.
+# chaos plan), the golden serving oracle and the provisioning oracle
+# (image encode, raw-weight decode, the shared snapshot) run here too.
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test serve_plan_test serve_golden_test trace_test \
            common_test perf_model_test host_runtime_test system_sim_test \
-           obs_test
+           obs_test provisioning_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Planner|ServeGolden|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
+  -R 'Planner|ServeGolden|Provisioning|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
 
 echo "== tier-1: UBSan on the static verifier and RTL lint =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap
@@ -74,9 +76,10 @@ cmake --build --preset ubsan -j "${JOBS}" --target rtl_test rtl_analysis_test
 ctest --preset ubsan -j "${JOBS}" -L rtl
 
 echo "== tier-1: TSan on the thread-labelled suites (ctest -L threads) =="
+# cluster_test's pool lanes all read one shared weight snapshot.
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}" \
-  --target serve_test obs_test common_test
+  --target serve_test obs_test common_test cluster_test
 ctest --preset tsan -j "${JOBS}" -L threads
 
 echo "== tier-1: ASan fault campaign (ctest -L faults) =="

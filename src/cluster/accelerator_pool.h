@@ -1,9 +1,10 @@
 // AcceleratorPool: N replicated instances of one generated design.
 //
 // Each replica owns a private DRAM MemoryImage (copied from the image
-// provisioned once) and the SystemContext decoded from those bytes —
-// the software model of a board (or a fleet) provisioned with N copies
-// of the same accelerator.  The pool also owns one execution lane per
+// provisioned once) and a SystemContext over the one raw-weight snapshot
+// decoded from the provisioned image and shared by every replica — the
+// software model of a board (or a fleet) provisioned with N copies of
+// the same accelerator.  The pool also owns one execution lane per
 // replica: a FIFO work deque drained by a dedicated thread, so the
 // wall-clock cost of simulating replicas overlaps.
 //
@@ -40,13 +41,14 @@ struct Replica {
         context(std::move(system.context)) {}
 
   MemoryImage image;                       // private DRAM bytes
-  std::unique_ptr<SystemContext> context;  // decoded from `image`
+  std::unique_ptr<SystemContext> context;  // on the pool's shared snapshot
 };
 
 class AcceleratorPool {
  public:
-  /// Stamp out `replicas` copies of the provisioned image, decode one
-  /// SystemContext per replica, and start one lane thread per replica.
+  /// Decode the provisioned image's weights once, stamp out `replicas`
+  /// copies of the image with a SystemContext each on that one shared
+  /// snapshot, and start one lane thread per replica.
   AcceleratorPool(const Network& net, const AcceleratorDesign& design,
                   const MemoryImage& provisioned, int replicas);
 

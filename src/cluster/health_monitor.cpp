@@ -1,6 +1,7 @@
 #include "cluster/health_monitor.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -205,22 +206,14 @@ BreakerOptions ParseBreakerSpec(const std::string& spec) {
                   std::string(trimmed) + "'");
     const std::string key = std::string(Trim(trimmed.substr(0, eq)));
     const std::string value = std::string(Trim(trimmed.substr(eq + 1)));
-    long long parsed = 0;
-    try {
-      std::size_t pos = 0;
-      parsed = std::stoll(value, &pos);
-      if (pos != value.size()) throw Error("trailing characters");
-    } catch (const std::exception&) {
-      throw Error("breaker spec: '" + key +
-                  "' must be a positive integer, got '" + value + "'");
-    }
-    if (parsed < 1)
-      throw Error("breaker spec: '" + key +
-                  "' must be a positive integer, got '" + value + "'");
     if (key == "failures") {
-      options.failure_threshold = static_cast<int>(parsed);
+      options.failure_threshold = static_cast<int>(
+          ParseInt(value, 1, std::numeric_limits<int>::max(),
+                   "breaker spec 'failures'"));
     } else if (key == "cooldown") {
-      options.cooldown_cycles = parsed;
+      // Far from int64 overflow once added to a cycle count.
+      options.cooldown_cycles =
+          ParseInt(value, 1, 1'000'000'000'000, "breaker spec 'cooldown'");
     } else {
       throw Error("breaker spec: unknown key '" + key +
                   "' (failures, cooldown)");

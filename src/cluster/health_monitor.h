@@ -187,8 +187,9 @@ struct BreakerOptions {
 };
 
 /// Parse a CLI breaker spec: "failures=N,cooldown=M" (either key may be
-/// omitted; the result is enabled).  Unknown keys or malformed values
-/// throw db::Error.
+/// omitted; the result is enabled).  Unknown keys, malformed values and
+/// values outside failures [1, INT_MAX] or cooldown [1, 10^12] throw
+/// db::Error.
 BreakerOptions ParseBreakerSpec(const std::string& spec);
 
 class CircuitBreaker {

@@ -15,35 +15,14 @@ FixedFormat::FixedFormat(int total_bits, int frac_bits)
              << frac_bits);
   raw_max_ = (std::int64_t{1} << (total_bits - 1)) - 1;
   raw_min_ = -(std::int64_t{1} << (total_bits - 1));
+  scale_ = std::ldexp(1.0, frac_bits);
+  inv_scale_ = std::ldexp(1.0, -frac_bits);
 }
 
 double FixedFormat::value_max() const { return Dequantize(raw_max_); }
 double FixedFormat::value_min() const { return Dequantize(raw_min_); }
 
-double FixedFormat::resolution() const {
-  return std::ldexp(1.0, -frac_bits_);
-}
-
-std::int64_t FixedFormat::Quantize(double value) const {
-  if (std::isnan(value)) return 0;
-  const double scaled = std::ldexp(value, frac_bits_);
-  // Round-half-away-from-zero, matching a hardware rounder.
-  const double rounded = scaled >= 0 ? std::floor(scaled + 0.5)
-                                     : std::ceil(scaled - 0.5);
-  if (rounded >= static_cast<double>(raw_max_)) return raw_max_;
-  if (rounded <= static_cast<double>(raw_min_)) return raw_min_;
-  return static_cast<std::int64_t>(rounded);
-}
-
-double FixedFormat::Dequantize(std::int64_t raw) const {
-  return std::ldexp(static_cast<double>(raw), -frac_bits_);
-}
-
-std::int64_t FixedFormat::Saturate(std::int64_t raw) const {
-  if (raw > raw_max_) return raw_max_;
-  if (raw < raw_min_) return raw_min_;
-  return raw;
-}
+double FixedFormat::resolution() const { return inv_scale_; }
 
 std::int64_t FixedFormat::Add(std::int64_t a, std::int64_t b) const {
   return Saturate(a + b);

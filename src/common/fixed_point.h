@@ -7,6 +7,8 @@
 // than a template parameter; raw values travel as int64_t.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,11 +36,26 @@ class FixedFormat {
   double resolution() const;  // value of one LSB
 
   /// Convert a real number to the nearest representable raw value,
-  /// saturating at the format bounds (the hardware saturates, not wraps).
-  std::int64_t Quantize(double value) const;
+  /// rounding half away from zero and saturating at the format bounds
+  /// (the hardware saturates, not wraps); NaN maps to 0.
+  std::int64_t Quantize(double value) const {
+    if (std::isnan(value)) return 0;
+    // Scaling by a power of two is exact.  Adding +-0.5 and truncating
+    // rounds half away from zero (truncation is floor of the positive
+    // sum and ceil of the negative one), and clamping the sum to the
+    // integer bounds first saturates exactly where the rounded value
+    // would.  Branch-free, since weight signs are random.
+    const double scaled = value * scale_;
+    return static_cast<std::int64_t>(std::clamp(
+        scaled + std::copysign(0.5, scaled),
+        static_cast<double>(raw_min_), static_cast<double>(raw_max_)));
+  }
 
-  /// Convert a raw value back to a real number.
-  double Dequantize(std::int64_t raw) const;
+  /// Convert a raw value back to a real number (exact: a power-of-two
+  /// scale).
+  double Dequantize(std::int64_t raw) const {
+    return static_cast<double>(raw) * inv_scale_;
+  }
 
   /// Round-trip a real number through the format (quantisation error model).
   double RoundTrip(double value) const { return Dequantize(Quantize(value)); }
@@ -51,7 +68,9 @@ class FixedFormat {
   std::int64_t Mul(std::int64_t a, std::int64_t b) const;
 
   /// Clamp an arbitrary raw value into the representable range.
-  std::int64_t Saturate(std::int64_t raw) const;
+  std::int64_t Saturate(std::int64_t raw) const {
+    return std::clamp(raw, raw_min_, raw_max_);
+  }
 
   /// "Q3.12"-style human-readable name.
   std::string ToString() const;
@@ -63,6 +82,8 @@ class FixedFormat {
   int frac_bits_;
   std::int64_t raw_max_;
   std::int64_t raw_min_;
+  double scale_;      // 2^frac_bits
+  double inv_scale_;  // 2^-frac_bits
 };
 
 /// Quantise a whole float vector into raw values.

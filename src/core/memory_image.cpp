@@ -6,6 +6,21 @@
 #include "core/data_layout.h"
 
 namespace db {
+namespace {
+
+/// Quantise each value and store its low `Bytes` bytes little-endian.
+template <int Bytes>
+void EncodeWords(const std::vector<float>& values, const FixedFormat& fmt,
+                 std::uint8_t* p) {
+  for (const float v : values) {
+    const std::int64_t raw = fmt.Quantize(v);
+    for (int b = 0; b < Bytes; ++b)
+      p[b] = static_cast<std::uint8_t>(raw >> (8 * b));
+    p += Bytes;
+  }
+}
+
+}  // namespace
 
 MemoryImage::MemoryImage(std::int64_t bytes) {
   DB_CHECK_MSG(bytes >= 0, "negative image size");
@@ -35,6 +50,20 @@ std::int64_t MemoryImage::ReadElem(std::int64_t addr,
   const std::uint64_t sign_bit = std::uint64_t{1} << (bits - 1);
   if (value & sign_bit) value |= ~((sign_bit << 1) - 1);
   return static_cast<std::int64_t>(value);
+}
+
+std::span<std::uint8_t> MemoryImage::Range(std::int64_t addr,
+                                           std::int64_t bytes) {
+  DB_CHECK_MSG(addr >= 0 && bytes >= 0 && addr + bytes <= size(),
+               "image range out of bounds");
+  return {bytes_.data() + addr, static_cast<std::size_t>(bytes)};
+}
+
+std::span<const std::uint8_t> MemoryImage::Range(std::int64_t addr,
+                                                 std::int64_t bytes) const {
+  DB_CHECK_MSG(addr >= 0 && bytes >= 0 && addr + bytes <= size(),
+               "image range out of bounds");
+  return {bytes_.data() + addr, static_cast<std::size_t>(bytes)};
 }
 
 void MemoryImage::FlipBit(std::int64_t addr, int bit) {
@@ -91,12 +120,17 @@ MemoryImage BuildMemoryImage(const Network& net,
     const LayerParams& params = weights.at(layer->name());
     std::int64_t addr = region.base;
     auto emit = [&](const Tensor& t) {
-      for (std::int64_t i = 0; i < t.size(); ++i) {
-        DB_CHECK_MSG(addr + elem_bytes <= region.end(),
-                     "weights overflow their region");
-        image.WriteElem(addr, fmt.Quantize(t[i]), elem_bytes);
-        addr += elem_bytes;
+      const std::int64_t bytes = t.size() * elem_bytes;
+      DB_CHECK_MSG(addr + bytes <= region.end(),
+                   "weights overflow their region");
+      std::uint8_t* p = image.Range(addr, bytes).data();
+      switch (elem_bytes) {
+        case 1: EncodeWords<1>(t.storage(), fmt, p); break;
+        case 2: EncodeWords<2>(t.storage(), fmt, p); break;
+        case 3: EncodeWords<3>(t.storage(), fmt, p); break;
+        default: EncodeWords<4>(t.storage(), fmt, p); break;
       }
+      addr += bytes;
     };
     emit(params.weights);
     emit(params.bias);

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,12 @@ class MemoryImage {
   /// at a byte address.  Bounds-checked.
   void WriteElem(std::int64_t addr, std::int64_t raw, int elem_bytes);
   std::int64_t ReadElem(std::int64_t addr, int elem_bytes) const;
+
+  /// The `bytes` bytes starting at `addr`, bounds-checked once — the
+  /// provisioning loops touch a whole tensor per check.
+  std::span<std::uint8_t> Range(std::int64_t addr, std::int64_t bytes);
+  std::span<const std::uint8_t> Range(std::int64_t addr,
+                                      std::int64_t bytes) const;
 
   /// Flip one bit of the byte at `addr` (a DRAM soft error).
   /// Bounds-checked; `bit` must be in [0, 8).

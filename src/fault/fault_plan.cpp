@@ -1,5 +1,6 @@
 #include "fault/fault_plan.h"
 
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -41,21 +42,11 @@ std::int64_t TotalBytes(const std::vector<const MemoryRegion*>& regions) {
   return total;
 }
 
-std::int64_t ParseCount(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const long long parsed = std::stoll(value, &pos);
-    if (pos != value.size() || parsed < 0)
-      throw Error("fault spec: '" + key + "' must be a non-negative "
-                  "integer, got '" + value + "'");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error("fault spec: '" + key + "' must be a non-negative "
-                "integer, got '" + value + "'");
-  }
-}
+/// Per-key bounds of a campaign spec: event counts stay small enough to
+/// materialise, cycle lengths far from int64 overflow once added to a
+/// cycle count.
+constexpr std::int64_t kMaxEvents = 1'000'000;
+constexpr std::int64_t kMaxCycles = 1'000'000'000'000;
 
 }  // namespace
 
@@ -70,50 +61,49 @@ FaultCampaignSpec ParseFaultCampaign(const std::string& spec) {
                   std::string(trimmed) + "'");
     const std::string key = std::string(Trim(trimmed.substr(0, eq)));
     const std::string value = std::string(Trim(trimmed.substr(eq + 1)));
-    const std::int64_t n = ParseCount(key, value);
+    const auto parse = [&](std::int64_t min, std::int64_t max) {
+      return ParseInt(value, min, max, "fault spec '" + key + "'");
+    };
+    const auto count = [&] {
+      return static_cast<int>(parse(0, kMaxEvents));
+    };
     if (key == "seed") {
-      campaign.seed = static_cast<std::uint64_t>(n);
+      campaign.seed = static_cast<std::uint64_t>(
+          parse(0, std::numeric_limits<std::int64_t>::max()));
     } else if (key == "flips") {
-      campaign.weight_flips = static_cast<int>(n);
+      campaign.weight_flips = count();
     } else if (key == "blob-flips") {
-      campaign.blob_flips = static_cast<int>(n);
+      campaign.blob_flips = count();
     } else if (key == "transients") {
-      campaign.transients = static_cast<int>(n);
+      campaign.transients = count();
     } else if (key == "stalls") {
-      campaign.stalls = static_cast<int>(n);
+      campaign.stalls = count();
     } else if (key == "stall-cycles") {
-      if (n < 1) throw Error("fault spec: stall-cycles must be >= 1");
-      campaign.stall_cycles = n;
+      campaign.stall_cycles = parse(1, kMaxCycles);
     } else if (key == "crashes") {
-      campaign.crashes = static_cast<int>(n);
+      campaign.crashes = count();
     } else if (key == "hangs") {
-      campaign.hangs = static_cast<int>(n);
+      campaign.hangs = count();
     } else if (key == "slow-replicas") {
-      campaign.slow_replicas = static_cast<int>(n);
+      campaign.slow_replicas = count();
     } else if (key == "route-fails") {
-      campaign.route_fails = static_cast<int>(n);
+      campaign.route_fails = count();
     } else if (key == "crash-down-cycles") {
-      if (n < 1) throw Error("fault spec: crash-down-cycles must be >= 1");
-      campaign.crash_down_cycles = n;
+      campaign.crash_down_cycles = parse(1, kMaxCycles);
     } else if (key == "hang-cycles") {
-      if (n < 1) throw Error("fault spec: hang-cycles must be >= 1");
-      campaign.hang_cycles = n;
+      campaign.hang_cycles = parse(1, kMaxCycles);
     } else if (key == "slow-factor") {
-      if (n < 2 || n > 1024)
-        throw Error("fault spec: slow-factor must be in [2, 1024]");
-      campaign.slow_factor = n;
+      campaign.slow_factor = parse(2, 1024);
     } else if (key == "slow-services") {
-      if (n < 1) throw Error("fault spec: slow-services must be >= 1");
-      campaign.slow_services = n;
+      campaign.slow_services = parse(1, kMaxCycles);
     } else if (key == "span") {
-      if (n < 1) throw Error("fault spec: span must be >= 1");
-      campaign.invocation_span = n;
+      campaign.invocation_span = parse(1, kMaxCycles);
     } else if (key == "workers" || key == "replicas") {
       // "replicas" is the cluster-era spelling; both size the slices the
       // plan is dealt into (callers usually overwrite this with the
       // server's actual pool size).
-      if (n < 1) throw Error("fault spec: " + key + " must be >= 1");
-      campaign.workers = static_cast<int>(n);
+      campaign.workers =
+          static_cast<int>(parse(1, std::numeric_limits<int>::max()));
     } else {
       throw Error("fault spec: unknown key '" + key +
                   "' (seed, flips, blob-flips, transients, stalls, "

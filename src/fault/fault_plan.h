@@ -104,7 +104,9 @@ struct FaultCampaignSpec {
 ///    stall-cycles=512,crashes=1,hangs=2,slow-replicas=1,
 ///    route-fails=3,crash-down-cycles=4096,hang-cycles=2048,
 ///    slow-factor=4,slow-services=8,span=32"
-/// Unknown keys or malformed values throw db::Error.  `workers` is not
+/// Unknown keys, malformed values and values outside the key's range
+/// (event counts [0, 10^6], cycle lengths, services and span
+/// [1, 10^12], slow-factor [2, 1024]) throw db::Error.  `workers` is not
 /// part of the spec; the caller sets it from the serving options.
 FaultCampaignSpec ParseFaultCampaign(const std::string& spec);
 

@@ -77,6 +77,18 @@ double FanSum(const IrLayer& layer) {
 
 }  // namespace
 
+ParamCounts ParamCountsFor(const IrLayer& layer) {
+  const ParamShapes shapes = ShapesFor(layer);
+  ParamCounts counts;
+  counts.any = shapes.any;
+  if (!shapes.any) return counts;
+  counts.weights = shapes.weights.NumElements();
+  if (shapes.bias.rank() > 0) counts.bias = shapes.bias.NumElements();
+  if (shapes.recurrent.rank() > 0)
+    counts.recurrent = shapes.recurrent.NumElements();
+  return counts;
+}
+
 WeightStore WeightStore::CreateFor(const Network& net) {
   WeightStore store;
   for (const IrLayer* layer : net.ComputeLayers()) {

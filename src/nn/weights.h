@@ -31,6 +31,17 @@ struct LayerParams {
   }
 };
 
+/// Element counts of one layer's parameter tensors, exactly as CreateFor
+/// allocates them (0 for a tensor the kind does not have); `any` is false
+/// for layers without parameters.
+struct ParamCounts {
+  std::int64_t weights = 0;
+  std::int64_t bias = 0;
+  std::int64_t recurrent = 0;
+  bool any = false;
+};
+ParamCounts ParamCountsFor(const IrLayer& layer);
+
 /// All trainable parameters of a network, keyed by layer name.
 class WeightStore {
  public:

@@ -13,8 +13,8 @@
 //     ▼
 //   each closed batch's kOk services are posted to that replica's lane
 //     (cluster::AcceleratorPool: N replicas, each with a private DRAM
-//     MemoryImage copied from the image built once at start-up and its
-//     own SystemContext decoded from those bytes)
+//     MemoryImage copied from the image built once at start-up and a
+//     SystemContext on the one weight snapshot decoded from it)
 //     ▼
 //   a lane applies the planned bit flips to its image, runs the planned
 //     weight scrubs (checked against the provisioned checksum: mismatch
@@ -65,8 +65,9 @@ constexpr const char* ServerStateName(ServerState state) {
 class InferenceServer {
  public:
   /// Serialises the weights into a DRAM image once; the accelerator
-  /// pool stamps out one private copy (and one decoded SystemContext)
-  /// per replica.  Lane threads start immediately.
+  /// pool decodes it once into a shared weight snapshot and stamps out
+  /// one private image copy (and one SystemContext) per replica.  Lane
+  /// threads start immediately.
   InferenceServer(const Network& net, const AcceleratorDesign& design,
                   const WeightStore& weights, ServeOptions options = {});
 

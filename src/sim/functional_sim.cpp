@@ -12,15 +12,6 @@
 namespace db {
 namespace {
 
-std::vector<std::int32_t> QuantizeToI32(const FixedFormat& fmt,
-                                        const std::vector<float>& values) {
-  std::vector<std::int32_t> raw(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    raw[i] = static_cast<std::int32_t>(
-        fmt.Quantize(static_cast<double>(values[i])));
-  return raw;
-}
-
 /// Deepest accumulation fan-in (number of summed terms, bias included)
 /// across the network — the bound that decides whether int64
 /// accumulation can ever overflow for this design's format.
@@ -139,17 +130,18 @@ struct WideMath {
 FunctionalSimulator::FunctionalSimulator(const Network& net,
                                          const AcceleratorDesign& design,
                                          const WeightStore& weights)
+    : FunctionalSimulator(net, design,
+                          std::make_shared<const RawWeights>(
+                              RawWeights::Quantize(net, design.config.format,
+                                                   weights))) {}
+
+FunctionalSimulator::FunctionalSimulator(
+    const Network& net, const AcceleratorDesign& design,
+    std::shared_ptr<const RawWeights> weights)
     : net_(net),
-      design_(design),
-      weights_(weights),
-      fmt_(design.config.format) {
-  for (const auto& [name, params] : weights.all()) {
-    RawParams raw;
-    raw.weights = QuantizeToI32(fmt_, params.weights.storage());
-    raw.bias = QuantizeToI32(fmt_, params.bias.storage());
-    raw.recurrent = QuantizeToI32(fmt_, params.recurrent.storage());
-    raw_params_.emplace(name, std::move(raw));
-  }
+      fmt_(design.config.format),
+      weights_(std::move(weights)) {
+  DB_CHECK_MSG(weights_ != nullptr, "simulator needs a weight snapshot");
   for (const ApproxLutSpec& spec : design.lut_specs)
     luts_.push_back(ApproxLut::Generate(spec));
   // |sum of T products| <= T * 2^(2*(total_bits-1)), so int64
@@ -181,7 +173,7 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
                                   RawTensor& out) const {
   using Acc = typename Math::Acc;
   const ConvolutionParams& p = *layer.def.conv;
-  const RawParams& rp = raw_params_.at(layer.name());
+  const RawLayerParams& rp = weights_->at(layer);
   const int f = fmt_.frac_bits();
   const std::int64_t in_h = in0.shape.height;
   const std::int64_t in_w = in0.shape.width;
@@ -258,7 +250,7 @@ void FunctionalSimulator::RunInnerProduct(const Math& math,
                                           RawTensor& out) const {
   using Acc = typename Math::Acc;
   const InnerProductParams& p = *layer.def.fc;
-  const RawParams& rp = raw_params_.at(layer.name());
+  const RawLayerParams& rp = weights_->at(layer);
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   Acc* acc = arena_.Alloc<Acc>(static_cast<std::size_t>(p.num_output));
@@ -316,7 +308,7 @@ void FunctionalSimulator::RunRecurrent(const Math& math,
                                        RawTensor& out) const {
   using Acc = typename Math::Acc;
   const RecurrentParams& p = *layer.def.recurrent;
-  const RawParams& rp = raw_params_.at(layer.name());
+  const RawLayerParams& rp = weights_->at(layer);
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   const std::size_t n_out = static_cast<std::size_t>(p.num_output);
@@ -353,7 +345,7 @@ void FunctionalSimulator::RunLstm(const Math& math, const IrLayer& layer,
                                   RawTensor& out) const {
   using Acc = typename Math::Acc;
   const LstmParams& p = *layer.def.lstm;
-  const RawParams& rp = raw_params_.at(layer.name());
+  const RawLayerParams& rp = weights_->at(layer);
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   const std::int64_t h = p.num_output;
@@ -539,7 +531,7 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
       // CMAC: the per-output sum over active cells is a chain of
       // SATURATING adds in cell order — order-sensitive, kept scalar.
       const AssociativeParams& p = *layer.def.associative;
-      const RawParams& rp = raw_params_.at(layer.name());
+      const RawLayerParams& rp = weights_->at(layer);
       std::vector<float> x;
       x.reserve(in0.n);
       for (std::size_t i = 0; i < in0.n; ++i)

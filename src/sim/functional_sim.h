@@ -15,19 +15,24 @@
 // wide for provably-overflow-free int64 accumulation fall back to an
 // __int128 scalar path with identical rounding.
 //
+// Weights: the simulator reads one immutable raw-weight snapshot
+// (sim/raw_weights.h), shared with every other simulator built on it.
+//
 // Threading contract: a FunctionalSimulator owns one scratch arena, so
 // concurrent Run() calls on the SAME instance are not supported.  Every
 // serving replica owns a private SystemContext (and therefore a private
 // simulator) driven by one lane thread, which satisfies this by
-// construction.
+// construction; the shared snapshot is only ever read.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/generator.h"
 #include "nn/weights.h"
 #include "sim/kernels.h"
+#include "sim/raw_weights.h"
 
 namespace db {
 
@@ -38,6 +43,10 @@ class FunctionalSimulator {
   /// preprocessing step in the paper's flow).
   FunctionalSimulator(const Network& net, const AcceleratorDesign& design,
                       const WeightStore& weights);
+
+  /// Runs on an existing snapshot in the design's format.
+  FunctionalSimulator(const Network& net, const AcceleratorDesign& design,
+                      std::shared_ptr<const RawWeights> weights);
 
   /// Run one forward propagation; input and output are float tensors at
   /// the network boundary (the host's view), everything in between is
@@ -61,6 +70,10 @@ class FunctionalSimulator {
   /// backend; false means the format is wide enough to need the
   /// __int128 scalar fallback (exposed for tests/benches).
   bool uses_kernel_backend() const { return narrow_; }
+
+  const std::shared_ptr<const RawWeights>& raw_weights() const {
+    return weights_;
+  }
 
  private:
   /// One layer's raw activations: an arena-backed int32 span.
@@ -98,16 +111,8 @@ class FunctionalSimulator {
                   RawTensor& out) const;
 
   const Network& net_;
-  const AcceleratorDesign& design_;
-  const WeightStore& weights_;
   FixedFormat fmt_;
-  // Quantised parameters per layer, stored raw (SoA int32).
-  struct RawParams {
-    std::vector<std::int32_t> weights;
-    std::vector<std::int32_t> bias;
-    std::vector<std::int32_t> recurrent;
-  };
-  std::map<std::string, RawParams> raw_params_;
+  std::shared_ptr<const RawWeights> weights_;
   std::vector<ApproxLut> luts_;
   /// int64 accumulation provably never overflows for this design
   /// (format width x deepest fan-in) — the kernel fast path.

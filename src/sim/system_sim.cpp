@@ -7,42 +7,20 @@ namespace db {
 WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
                           const AcceleratorDesign& design) {
   const FixedFormat& fmt = design.config.format;
-  const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+  const RawWeights raw = RawWeights::Decode(image, net, design);
   WeightStore store = WeightStore::CreateFor(net);
   for (const IrLayer* layer : net.ComputeLayers()) {
     if (!store.Has(layer->name())) continue;
-    DB_CHECK_MSG(design.memory_map.HasWeights(layer->name()),
-                 "parameterised layer missing a weight region");
-    const MemoryRegion& region =
-        design.memory_map.Weights(layer->name());
+    const RawLayerParams& words = raw.at(*layer);
     LayerParams& params = store.at(layer->name());
-    std::int64_t addr = region.base;
-    auto decode = [&](Tensor& t) {
-      for (std::int64_t i = 0; i < t.size(); ++i) {
-        DB_CHECK_MSG(addr + elem_bytes <= region.end(),
-                     "weight region underflows its tensors");
+    auto dequantize = [&](Tensor& t, const std::vector<std::int32_t>& w) {
+      for (std::int64_t i = 0; i < t.size(); ++i)
         t[i] = static_cast<float>(
-            fmt.Dequantize(image.ReadElem(addr, elem_bytes)));
-        addr += elem_bytes;
-      }
+            fmt.Dequantize(w[static_cast<std::size_t>(i)]));
     };
-    decode(params.weights);
-    decode(params.bias);
-    decode(params.recurrent);
-    // The region must be fully consumed: anything left beyond the
-    // MemoryMap's port-alignment padding is trailing garbage the
-    // decoder would silently ignore (an oversized or mis-assembled
-    // image).  Mirrors the mem.layout weight-sizing verifier rule.
-    const std::int64_t align = std::max<std::int64_t>(
-        static_cast<std::int64_t>(design.config.memory_port_elems) *
-            elem_bytes,
-        1);
-    const std::int64_t leftover = region.end() - addr;
-    if (leftover < 0 || leftover >= align)
-      DB_THROW("weight region '" << layer->name()
-               << "' not fully consumed: " << leftover
-               << " trailing bytes exceed one alignment beat (" << align
-               << ")");
+    dequantize(params.weights, words.weights);
+    dequantize(params.bias, words.bias);
+    dequantize(params.recurrent, words.recurrent);
   }
   return store;
 }
@@ -50,10 +28,14 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
 SystemContext::SystemContext(const Network& net,
                              const AcceleratorDesign& design,
                              const MemoryImage& image)
-    : net_(net),
-      design_(design),
-      weights_(DecodeWeights(image, net, design)),
-      sim_(net, design, weights_) {
+    : SystemContext(net, design,
+                    std::make_shared<const RawWeights>(
+                        RawWeights::Decode(image, net, design))) {}
+
+SystemContext::SystemContext(const Network& net,
+                             const AcceleratorDesign& design,
+                             std::shared_ptr<const RawWeights> weights)
+    : net_(net), design_(design), sim_(net, design, std::move(weights)) {
   // Precompute the input/output blob regions and tile permutations:
   // they depend only on (net, design), and rebuilding them per request
   // dominated the serve hot path for small models.
@@ -87,16 +69,13 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
                                            const MemoryImage& provisioned,
                                            int count) {
   DB_CHECK_MSG(count >= 1, "a system needs at least one replica");
+  const auto weights = std::make_shared<const RawWeights>(
+      RawWeights::Decode(provisioned, net, design));
   std::vector<SystemReplica> replicas;
   replicas.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    SystemReplica replica{provisioned, nullptr};
-    // Each context decodes from its replica's own bytes: the weight
-    // snapshot never aliases a sibling's image.
-    replica.context =
-        std::make_unique<SystemContext>(net, design, replica.image);
-    replicas.push_back(std::move(replica));
-  }
+  for (int i = 0; i < count; ++i)
+    replicas.push_back(
+        {provisioned, std::make_unique<SystemContext>(net, design, weights)});
   return replicas;
 }
 

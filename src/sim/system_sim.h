@@ -5,7 +5,8 @@
 //
 // The weights the datapath uses are *decoded from the image bytes*, not
 // taken from the WeightStore — so a corrupted image region corrupts the
-// run, exactly as on hardware.
+// run, exactly as on hardware.  They are decoded once into a raw-weight
+// snapshot (sim/raw_weights.h) that every replica of the image shares.
 #pragma once
 
 #include <memory>
@@ -27,13 +28,14 @@ struct SystemRunResult {
   StatusCode status = StatusCode::kOk;
 };
 
-/// Decode a WeightStore from the image's weight regions (the inverse of
-/// BuildMemoryImage's weight serialisation).  Exposed for tests.
+/// Decode a WeightStore from the image's weight regions: the raw decode
+/// (RawWeights::Decode), dequantised.  Exposed for tests and benches; no
+/// serving path uses it.
 WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
                           const AcceleratorDesign& design);
 
-/// The steady-state half of RunSystem: weights decoded and the I/O blob
-/// tile orders computed once at construction, so each Run() is just the
+/// The steady-state half of RunSystem: a weight snapshot and the I/O
+/// blob tile orders fixed at construction, so each Run() is just the
 /// simulation plus two cached-order blob copies.
 ///
 /// Threading: Run() is marked const but is NOT safe to call concurrently
@@ -48,8 +50,13 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
 /// fresh context, which is exactly what the RunSystem wrapper does.
 class SystemContext {
  public:
+  /// Decodes a private snapshot from `image`.
   SystemContext(const Network& net, const AcceleratorDesign& design,
                 const MemoryImage& image);
+
+  /// Runs on a snapshot shared with other contexts.
+  SystemContext(const Network& net, const AcceleratorDesign& design,
+                std::shared_ptr<const RawWeights> weights);
 
   /// One invocation: write the input blob into `image`, run the
   /// bit-accurate functional simulation with the snapshotted weights,
@@ -57,12 +64,13 @@ class SystemContext {
   SystemRunResult Run(MemoryImage& image, const Tensor& input,
                       const PerfOptions& perf_options = {}) const;
 
-  const WeightStore& weights() const { return weights_; }
+  const std::shared_ptr<const RawWeights>& raw_weights() const {
+    return sim_.raw_weights();
+  }
 
  private:
   const Network& net_;
   const AcceleratorDesign& design_;
-  WeightStore weights_;       // decoded snapshot (owned; sim_ refers to it)
   FunctionalSimulator sim_;
   // Cached per-invocation hot path: the input/output blob regions and
   // their tile permutations never change for a given (net, design).
@@ -73,18 +81,22 @@ class SystemContext {
 };
 
 /// One replicated accelerator instance: a private copy of the
-/// provisioned DRAM image plus the SystemContext decoded from it.  The
-/// cluster's AcceleratorPool owns one of these per replica, so one
-/// replica's image corruption (fault injection) can never perturb a
-/// sibling — each context snapshotted its weights from its own bytes.
+/// provisioned DRAM image plus a SystemContext on the snapshot decoded
+/// once from the provisioned image.  The cluster's AcceleratorPool owns
+/// one of these per replica, so one replica's image corruption (fault
+/// injection) never touches a sibling's bytes; a flipped weight word is
+/// scrubbed from the provisioned image before any planned Run, so the
+/// shared snapshot always equals every replica's weight regions when the
+/// datapath reads them.
 struct SystemReplica {
   MemoryImage image;
   std::unique_ptr<SystemContext> context;
 };
 
-/// Stamp out `count` independent replicas of a provisioned system.
-/// Every replica starts byte-identical to `provisioned`, so a request
-/// served by any replica produces bit-identical output.
+/// Stamp out `count` replicas of a provisioned system: one decode, one
+/// shared snapshot, `count` image copies.  Every replica starts
+/// byte-identical to `provisioned`, so a request served by any replica
+/// produces bit-identical output.
 std::vector<SystemReplica> ReplicateSystem(const Network& net,
                                            const AcceleratorDesign& design,
                                            const MemoryImage& provisioned,
@@ -93,8 +105,9 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
 /// One full invocation against the image: decode weights, run the
 /// bit-accurate functional simulation, store the output blob back into
 /// the image, and read it out as the host would.  Decodes the weights on
-/// every call so image corruption is always visible; steady-state
-/// callers (the inference server) hold a SystemContext instead.
+/// every call so image corruption is always visible, word for word as
+/// the datapath reads it; steady-state callers (the inference server)
+/// hold a SystemContext instead.
 SystemRunResult RunSystem(const Network& net,
                           const AcceleratorDesign& design,
                           MemoryImage& image, const Tensor& input,

@@ -213,6 +213,10 @@ TEST(Breaker, ParseSpecRoundTripsAndRejectsBogusInput) {
   EXPECT_THROW(ParseBreakerSpec("failures=abc"), Error);
   EXPECT_THROW(ParseBreakerSpec("bogus=1"), Error);
   EXPECT_THROW(ParseBreakerSpec("failures"), Error);
+  // Out of int range: rejected, never narrowed (4294967297 would wrap
+  // to 1).
+  EXPECT_THROW(ParseBreakerSpec("failures=2147483648"), Error);
+  EXPECT_THROW(ParseBreakerSpec("failures=4294967297"), Error);
 }
 
 // ---------------------------------------------------------------------

@@ -32,6 +32,9 @@ expect_exit(2 serve --zoo MNIST --requests abc)          # db::Error
 expect_exit(2 serve --zoo MNIST --requests 99999999999)  # db::Error
 expect_exit(2 serve --zoo MNIST --queue-capacity -1)     # db::Error
 expect_exit(2 serve --zoo MNIST --batch four)            # db::Error
+expect_exit(2 serve --zoo MNIST --breaker=failures=2147483648) # db::Error
+expect_exit(2 serve --zoo MNIST --breaker=failures=4294967297) # db::Error
+expect_exit(2 serve --zoo MNIST --faults=flips=99999999999999) # db::Error
 expect_exit(3 --self-test-internal-error)                # DB_CHECK
 
 # The cluster-resilience flags fail fast (before any generation work)
@@ -98,6 +101,7 @@ expect_exit(2 tune ANN-0 --sweep=warp=9)                 # db::Error
 expect_exit(2 tune ANN-0 --sweep=port=24)                # db::Error
 expect_exit(2 tune ANN-0 --jobs=0)                       # db::Error
 expect_exit(2 tune ANN-0 --jobs=none)                    # db::Error
+expect_exit(2 tune ANN-0 --jobs=99999999999999999999)    # db::Error
 
 # Malformed tuning flags fail fast with byte-stable stderr.
 foreach(bad_flags "--budget=huge" "--objective=throughput" "--jobs=0")

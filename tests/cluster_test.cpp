@@ -124,6 +124,21 @@ TEST(AcceleratorPool, ReplicasProduceBitIdenticalOutputs) {
   EXPECT_EQ(outputs[0].storage(), outputs[2].storage());
 }
 
+TEST(AcceleratorPool, ReplicasShareOneWeightSnapshot) {
+  GeneratedFixture& fx = Fixture();
+  Rng rng(2016);
+  const WeightStore weights = WeightStore::CreateRandom(fx.net, rng);
+  const MemoryImage provisioned =
+      BuildHostImage(fx.net, fx.design, weights);
+  cluster::AcceleratorPool pool(fx.net, fx.design, provisioned, 3);
+  pool.Close();
+  pool.Join();
+  const RawWeights* shared = pool.replica(0).context->raw_weights().get();
+  ASSERT_NE(shared, nullptr);
+  for (int r = 1; r < pool.size(); ++r)
+    EXPECT_EQ(pool.replica(r).context->raw_weights().get(), shared);
+}
+
 TEST(AcceleratorPool, LanesPreserveFifoOrderPerReplica) {
   GeneratedFixture& fx = Fixture();
   Rng rng(2016);

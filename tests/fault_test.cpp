@@ -112,6 +112,9 @@ TEST(FaultPlan, ParseCampaignSpec) {
   EXPECT_THROW(ParseFaultCampaign("flips"), Error);          // no value
   EXPECT_THROW(ParseFaultCampaign("bogus=1"), Error);        // unknown key
   EXPECT_THROW(ParseFaultCampaign("flips=many"), Error);     // bad value
+  EXPECT_THROW(ParseFaultCampaign("flips=1000001"), Error);  // too many
+  EXPECT_THROW(ParseFaultCampaign("seed=-1"), Error);         // negative
+  EXPECT_THROW(ParseFaultCampaign("span=0"), Error);          // below 1
 }
 
 TEST(FaultInjector, PartitionsPerWorkerSortedByInvocation) {

@@ -6,6 +6,7 @@
 #include "core/generator.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
+#include "sim/raw_weights.h"
 #include "sim/system_sim.h"
 #include "sim/trace.h"
 
@@ -115,6 +116,71 @@ TEST(SystemSim, PaddedWeightRegionWithinOneBeatStillDecodes) {
       fx.net, fx.design, fx.weights,
       {{"data", Tensor(Shape{1, 12, 12})}});
   EXPECT_NO_THROW(DecodeWeights(image, fx.net, fx.design));
+}
+
+TEST(SystemSim, RawDecodeEqualsTheQuantisedStore) {
+  const Fixture fx;
+  const MemoryImage image = BuildMemoryImage(
+      fx.net, fx.design, fx.weights,
+      {{"data", Tensor(Shape{1, 12, 12})}});
+  const RawWeights decoded = RawWeights::Decode(image, fx.net, fx.design);
+  const RawWeights quantised =
+      RawWeights::Quantize(fx.net, fx.design.config.format, fx.weights);
+  int layers = 0;
+  for (const IrLayer* layer : fx.net.ComputeLayers()) {
+    if (!fx.weights.Has(layer->name())) {
+      EXPECT_THROW(decoded.at(*layer), Error) << layer->name();
+      continue;
+    }
+    ++layers;
+    const RawLayerParams& d = decoded.at(*layer);
+    const RawLayerParams& q = quantised.at(*layer);
+    EXPECT_EQ(d.weights, q.weights) << layer->name();
+    EXPECT_EQ(d.bias, q.bias) << layer->name();
+    EXPECT_EQ(d.recurrent, q.recurrent) << layer->name();
+  }
+  EXPECT_GT(layers, 0);
+}
+
+/// A flipped weight word reaches the datapath as the hardware reads it:
+/// sign-extended from its element width, then saturated to the format.
+/// In a four-byte format that is the exact word, even one with more
+/// significant bits than a float holds.
+TEST(SystemSim, FlippedWeightWordsAreReadAsTheHardwareReadsThem) {
+  const Network net = BuildZooModel(ZooModel::kMnist);
+  Rng rng(23);
+  const WeightStore weights = WeightStore::CreateRandom(net, rng);
+  const IrLayer& conv1 = *net.ComputeLayers().front();
+  ASSERT_EQ(conv1.name(), "conv1");
+  for (const int bit_width : {12, 32}) {
+    SCOPED_TRACE("bit_width=" + std::to_string(bit_width));
+    DesignConstraint constraint = DbConstraint();
+    constraint.bit_width = bit_width;
+    constraint.frac_bits = 8;
+    const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+    const FixedFormat& fmt = design.config.format;
+    const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+    MemoryImage image = BuildMemoryImage(
+        net, design, weights, {{"data", Tensor(Shape{1, 12, 12})}});
+    const std::int64_t addr = design.memory_map.Weights("conv1").base;
+    const std::int64_t clean = image.ReadElem(addr, elem_bytes);
+    // The top bit of the element: the sign bit at 32 bits, a bit above
+    // the format's range at 12 bits (two-byte words).
+    const int bit = 8 * elem_bytes - 1;
+    image.FlipBit(addr + bit / 8, bit % 8);
+    const std::int64_t word = image.ReadElem(addr, elem_bytes);
+    ASSERT_NE(word, clean);
+    const std::int32_t decoded =
+        RawWeights::Decode(image, net, design).at(conv1).weights.front();
+    EXPECT_EQ(decoded, fmt.Saturate(word));
+    if (bit_width == 32) {
+      EXPECT_EQ(decoded, word);
+      // More significant bits than a float holds.
+      ASSERT_NE(static_cast<std::int64_t>(static_cast<float>(word)), word);
+    } else {
+      EXPECT_EQ(decoded, clean < 0 ? fmt.raw_max() : fmt.raw_min());
+    }
+  }
 }
 
 TEST(Trace, RecordsBusyIntervals) {

@@ -770,15 +770,7 @@ int RunTune(int argc, char** argv) {
   dse::TuneOptions tune;
   tune.objective = dse::ParseObjective(objective_name);
   tune.sweep = dse::ParseSweepSpec(sweep_text);
-  if (jobs_text.empty() ||
-      jobs_text.find_first_not_of("0123456789") != std::string::npos)
-    throw Error("bad --jobs value '" + jobs_text +
-                "' (expected an integer in [1, 64])");
-  const long jobs = std::stol(jobs_text);
-  if (jobs < 1 || jobs > 64)
-    throw Error("bad --jobs value '" + jobs_text +
-                "' (expected an integer in [1, 64])");
-  tune.jobs = static_cast<int>(jobs);
+  tune.jobs = static_cast<int>(ParseInt(jobs_text, 1, 64, "--jobs"));
 
   const NetworkDef def = ParseNetworkDef(
       zoo_name.empty() ? ReadFile(model_path)
