@@ -1,6 +1,5 @@
 // FNV-1a content hashing, shared by the content-addressed design cache
-// (cluster/design_cache.h), the CMAC association hash and the fault
-// scrub engine's weight-region checksum.
+// (cluster/design_cache.h) and the CMAC association hash.
 //
 // FNV-1a is not cryptographic; every consumer that uses a hash as an
 // identity key must pair it with a full-key compare (the design cache

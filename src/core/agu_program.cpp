@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/strings.h"
+#include "core/schedule.h"
 #include "graph/layer_stats.h"
 
 namespace db {
@@ -111,8 +112,7 @@ AguProgram BuildAguProgram(const Network& net,
   for (const IrLayer* layer : net.ComputeLayers()) {
     const LayerFold& fold = folds.ForLayer(layer->id);
     const DataLayoutPlan::Entry& lay = layout.ForLayer(layer->id);
-    const std::string event = "layer" + std::to_string(layer->id) +
-                              "_fold0";
+    const std::string event = FoldEventName(layer->id, 0);
     // --- main AGU: input tiles from every producer blob's region
     //     (inception/concat layers consume several bottoms) ---
     for (int producer_id : layer->input_ids) {

@@ -61,28 +61,50 @@ std::string ConnectionPlan::ToString() const {
   return os.str();
 }
 
+namespace {
+
+/// Average pooling with a power-of-two window divides through the
+/// shifting latch; every other layer passes through (shift 0).
+int LatchShift(const IrLayer& layer) {
+  if (layer.kind() != LayerKind::kPooling ||
+      layer.def.pool->method != PoolMethod::kAverage)
+    return 0;
+  const std::int64_t window =
+      layer.def.pool->kernel_size * layer.def.pool->kernel_size;
+  if (!IsPow2(window)) return 0;
+  return static_cast<int>(
+      std::llround(std::log2(static_cast<double>(window))));
+}
+
+}  // namespace
+
 ConnectionPlan PlanConnections(const Network& net,
                                const Schedule& schedule) {
   ConnectionPlan plan;
+  plan.settings.reserve(schedule.steps.size());
+  // The ports and shift are per-layer facts: resolve them only when the
+  // step's blocks or layer differ from the previous step's.
+  const ScheduleStep* previous = nullptr;
+  DatapathPort producer = DatapathPort::kDataBuffer;
+  DatapathPort consumer = DatapathPort::kSynergyArray;
+  int shift = 0;
   for (const ScheduleStep& step : schedule.steps) {
-    CrossbarSetting setting;
+    if (previous == nullptr ||
+        step.producer_block != previous->producer_block)
+      producer = PortForBlock(step.producer_block);
+    if (previous == nullptr ||
+        step.consumer_block != previous->consumer_block)
+      consumer = PortForBlock(step.consumer_block);
+    if (previous == nullptr || step.layer_id != previous->layer_id)
+      shift = LatchShift(net.layer(step.layer_id));
+    previous = &step;
+
+    CrossbarSetting& setting = plan.settings.emplace_back();
     setting.step_index = step.index;
     setting.event = step.event;
-    setting.producer = PortForBlock(step.producer_block);
-    setting.consumer = PortForBlock(step.consumer_block);
-
-    // Average pooling with a power-of-two window divides through the
-    // shifting latch.
-    const IrLayer& layer = net.layer(step.layer_id);
-    if (layer.kind() == LayerKind::kPooling &&
-        layer.def.pool->method == PoolMethod::kAverage) {
-      const std::int64_t window =
-          layer.def.pool->kernel_size * layer.def.pool->kernel_size;
-      if (IsPow2(window))
-        setting.shift = static_cast<int>(
-            std::llround(std::log2(static_cast<double>(window))));
-    }
-    plan.settings.push_back(std::move(setting));
+    setting.producer = producer;
+    setting.consumer = consumer;
+    setting.shift = shift;
   }
   return plan;
 }

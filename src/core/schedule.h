@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/agu_program.h"
@@ -37,6 +38,13 @@ struct Schedule {
   }
   std::string ToString() const;
 };
+
+/// The fold event of one layer segment: "layer<id>_fold<segment>".
+std::string FoldEventName(int layer_id, std::int64_t segment);
+
+/// True when `event` equals FoldEventName(layer_id, segment); formats
+/// into a stack buffer, so it never allocates.
+bool IsFoldEvent(std::string_view event, int layer_id, std::int64_t segment);
 
 /// Canonical datapath block name executing a fold (e.g. "synergy_array",
 /// "pooling_unit0").

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "analysis/rtl_verifier.h"
 #include "analysis/verifier.h"
 #include "common/error.h"
 #include "common/hash.h"
@@ -357,6 +358,7 @@ AcceleratorDesign CompileWinner(const Network& net,
       CompileForConfig(net, CandidateConfig(net, base, spec));
   design.rtl = BuildRtl(design.config, design.blocks);
   CheckDesignOrThrow(design.rtl);
+  analysis::VerifyRtlOrThrow(design.rtl);
   analysis::VerifyDesignOrThrow(net, design);
   return design;
 }

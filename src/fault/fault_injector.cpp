@@ -1,6 +1,7 @@
 #include "fault/fault_injector.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -68,20 +69,20 @@ bool FaultInjector::HasWeightFlips(int worker) const {
   return has_weight_flips_[static_cast<std::size_t>(worker)];
 }
 
-std::uint64_t WeightChecksum(const MemoryImage& image,
-                             const MemoryMap& map) {
-  std::uint64_t hash = 14695981039346656037ull;  // FNV offset basis
-  const std::vector<std::uint8_t>& bytes = image.bytes();
+bool WeightsMatch(const MemoryImage& image, const MemoryImage& golden,
+                  const MemoryMap& map) {
   for (const MemoryRegion& region : map.regions()) {
     if (!StartsWith(region.name, "weights:")) continue;
-    DB_CHECK_MSG(region.end() <= image.size(),
+    DB_CHECK_MSG(region.end() <= image.size() &&
+                     region.end() <= golden.size(),
                  "weight region outside the image");
-    for (std::int64_t addr = region.base; addr < region.end(); ++addr) {
-      hash ^= bytes[static_cast<std::size_t>(addr)];
-      hash *= 1099511628211ull;  // FNV prime
-    }
+    const auto base = static_cast<std::size_t>(region.base);
+    if (std::memcmp(image.bytes().data() + base,
+                    golden.bytes().data() + base,
+                    static_cast<std::size_t>(region.bytes)) != 0)
+      return false;
   }
-  return hash;
+  return true;
 }
 
 std::int64_t ScrubWeights(MemoryImage& image, const MemoryImage& golden,

@@ -1,5 +1,5 @@
 // FaultInjector: hands a FaultPlan's events to the serving planner, and
-// the integrity primitives (weight-region checksum, scrub-and-reload)
+// the integrity primitives (weight-region compare, scrub-and-reload)
 // the replica lanes use to survive them.
 //
 // The plan is partitioned per replica once, at construction, into an
@@ -66,12 +66,13 @@ class FaultInjector {
   std::size_t cluster_events_ = 0;
 };
 
-/// FNV-1a over every weight region's bytes, in map order — the scrub
-/// engine's integrity reference.  Blob/activation regions are excluded:
-/// they are rewritten on every invocation, so corruption there is
-/// overwritten before anything reads it.
-std::uint64_t WeightChecksum(const MemoryImage& image,
-                             const MemoryMap& map);
+/// True when every weight region of `image` holds exactly the bytes of
+/// the provisioned `golden` image — the scrub engine's integrity check.
+/// Blob/activation regions are excluded: they are rewritten on every
+/// invocation, so corruption there is overwritten before anything reads
+/// it.
+bool WeightsMatch(const MemoryImage& image, const MemoryImage& golden,
+                  const MemoryMap& map);
 
 /// Scrub-and-reload: re-copy every weight region of `image` from the
 /// provisioned `golden` image.  Returns the number of bytes copied

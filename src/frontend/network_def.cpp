@@ -262,12 +262,7 @@ NetworkDef ParseNetworkDef(const std::string& prototxt_text) {
     for (std::size_t i = 0; i < input_names.size(); ++i) {
       InputDef in;
       in.name = input_names[i]->scalar ? input_names[i]->scalar->text : "";
-      auto dim = [&](std::size_t j) {
-        const PtField* f = input_dims[4 * i + j];
-        if (!f->scalar || f->scalar->kind != PtScalar::Kind::kNumber)
-          throw ParseError(f->line, "input_dim must be a number");
-        return static_cast<std::int64_t>(f->scalar->number);
-      };
+      auto dim = [&](std::size_t j) { return input_dims[4 * i + j]->AsInt(); };
       in.channels = dim(1);
       in.height = dim(2);
       in.width = dim(3);

@@ -1,6 +1,7 @@
 #include "frontend/prototxt.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.h"
@@ -253,14 +254,25 @@ const PtField* PtMessage::Find(const std::string& name) const {
   return found;
 }
 
+std::int64_t PtField::AsInt() const {
+  if (!scalar || scalar->kind != PtScalar::Kind::kNumber)
+    DB_THROW("field '" << name << "' is not a number (line " << line << ")");
+  const double v = scalar->number;
+  // [-2^63, 2^63) are exactly the doubles that convert to int64 without
+  // UB; NaN fails both comparisons.
+  if (!(v >= -0x1p63 && v < 0x1p63))
+    DB_THROW("field '" << name << "' value " << scalar->ToString()
+             << " is outside the integer range (line " << line << ")");
+  if (std::trunc(v) != v)
+    DB_THROW("field '" << name << "' value " << scalar->ToString()
+             << " is not an integer (line " << line << ")");
+  return static_cast<std::int64_t>(v);
+}
+
 std::int64_t PtMessage::GetInt(const std::string& name,
                                std::int64_t def) const {
   const PtField* f = Find(name);
-  if (f == nullptr) return def;
-  if (!f->scalar || f->scalar->kind != PtScalar::Kind::kNumber)
-    DB_THROW("field '" << name << "' is not a number (line " << f->line
-             << ")");
-  return static_cast<std::int64_t>(f->scalar->number);
+  return f == nullptr ? def : f->AsInt();
 }
 
 double PtMessage::GetDouble(const std::string& name, double def) const {

@@ -44,6 +44,11 @@ struct PtField {
   std::shared_ptr<PtMessage> message;    // set for block fields
 
   bool is_message() const { return message != nullptr; }
+
+  /// The number scalar as an integer.  Throws db::Error naming the field
+  /// and its line when the field is not a number, or when the number is
+  /// fractional or outside the int64 range.
+  std::int64_t AsInt() const;
 };
 
 /// An ordered multimap of fields.

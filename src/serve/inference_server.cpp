@@ -70,8 +70,6 @@ InferenceServer::InferenceServer(const Network& net,
       planner_(WithValidFlips(options, design.memory_map),
                CostsOf(net, design, options.perf)),
       provisioned_(BuildHostImage(net, design, weights)),
-      weight_checksum_(
-          fault::WeightChecksum(provisioned_, design.memory_map)),
       pool_(net, design, provisioned_, planner_.replicas()) {
   state_.store(ServerState::kServing);
 }
@@ -138,10 +136,10 @@ void InferenceServer::Execute(int r,
         rep.image.FlipBit(op.addr, op.bit);
         continue;
       }
-      DB_CHECK_MSG(fault::WeightChecksum(rep.image, map) != weight_checksum_,
+      DB_CHECK_MSG(!fault::WeightsMatch(rep.image, provisioned_, map),
                    "planned scrub of intact weight regions");
       fault::ScrubWeights(rep.image, provisioned_, map);
-      DB_CHECK_MSG(fault::WeightChecksum(rep.image, map) == weight_checksum_,
+      DB_CHECK_MSG(fault::WeightsMatch(rep.image, provisioned_, map),
                    "scrub failed to restore the weight regions");
     }
     // Lanes never trace (the interval stream is ordering-sensitive) but

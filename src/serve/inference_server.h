@@ -17,8 +17,8 @@
 //     SystemContext on the one weight snapshot decoded from it)
 //     ▼
 //   a lane applies the planned bit flips to its image, runs the planned
-//     weight scrubs (checked against the provisioned checksum: mismatch
-//     before, match after), then runs SystemContext::Run with the
+//     weight scrubs (each weight region compared with the provisioned
+//     image: it differs before, matches after), then runs SystemContext::Run with the
 //     planned weights_resident and keeps the output.
 //
 // Determinism: every record field except the output, DRAM bytes and
@@ -141,7 +141,6 @@ class InferenceServer {
   const DeviceInfo& device_;
   Planner planner_;
   MemoryImage provisioned_;  // built once; every replica copies its bytes
-  std::uint64_t weight_checksum_ = 0;  // of the provisioned image
   /// Guards the planner's records: planning may reallocate them while
   /// lanes write their outputs in.
   std::mutex records_mu_;

@@ -37,6 +37,21 @@ expect_exit(2 serve --zoo MNIST --breaker=failures=4294967297) # db::Error
 expect_exit(2 serve --zoo MNIST --faults=flips=99999999999999) # db::Error
 expect_exit(3 --self-test-internal-error)                # DB_CHECK
 
+# Integer prototxt fields reject fractions and values outside int64
+# (a straight double-to-int64 cast would truncate or be UB).
+set(int_field_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_models")
+file(MAKE_DIRECTORY "${int_field_dir}")
+foreach(value 2.5 1e30)
+  string(REPLACE "." "_" value_name "${value}")
+  set(model "${int_field_dir}/num_output_${value_name}.prototxt")
+  file(WRITE "${model}"
+    "name: \"int_field\"\ninput: \"data\"\n"
+    "input_dim: 1\ninput_dim: 1\ninput_dim: 4\ninput_dim: 4\n"
+    "layers { name: \"fc1\" type: INNER_PRODUCT bottom: \"data\" "
+    "top: \"fc1\" inner_product_param { num_output: ${value} } }\n")
+  expect_exit(2 --model "${model}")                      # db::Error
+endforeach()
+
 # The cluster-resilience flags fail fast (before any generation work)
 # with byte-stable error text: two identical invocations emit identical
 # stderr bytes.

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/rtl_verifier.h"
 #include "analysis/verifier.h"
 #include "cluster/design_cache.h"
 #include "common/error.h"
@@ -315,6 +316,26 @@ TEST(Explore, FrontierMembersVerifyClean) {
     // gate; a frontier member must pass all three.
     EXPECT_NO_THROW(dse::CompileWinner(
         net, constraint, base, specs[result.winner]));
+  }
+}
+
+TEST(Explore, EveryZooWinnerRtlVerifiesClean) {
+  // CompileWinner gates on VerifyRtl as GenerateAccelerator does; the
+  // explicit re-check pins the zero-error contract for every model's
+  // tuned winner.
+  for (const ZooModel model : AllZooModels()) {
+    SCOPED_TRACE(ZooModelName(model));
+    const Network net = ZooNetwork(model);
+    const DesignConstraint constraint = ParseConstraint(std::string());
+    TuneOptions options;
+    options.sweep = SweepFor(model);
+    options.jobs = 4;
+    const TuneResult result = dse::Explore(net, constraint, options);
+    const AcceleratorDesign winner = dse::CompileWinner(
+        net, constraint, SizeDatapath(net, constraint),
+        result.candidates[result.winner].spec);
+    const analysis::AnalysisReport report = analysis::VerifyRtl(winner.rtl);
+    EXPECT_EQ(report.ErrorCount(), 0) << report.ToText();
   }
 }
 

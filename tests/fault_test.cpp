@@ -140,12 +140,11 @@ TEST(FaultInjector, PartitionsPerWorkerSortedByInvocation) {
   EXPECT_THROW(FaultInjector(bad, 2), Error);
 }
 
-TEST(FaultInjector, ChecksumDetectsFlipAndScrubRestores) {
+TEST(FaultInjector, WeightCompareDetectsFlipAndScrubRestores) {
   const Fixture fx;
   const MemoryImage golden =
       BuildHostImage(fx.net, fx.design, fx.weights);
-  const std::uint64_t reference =
-      fault::WeightChecksum(golden, fx.design.memory_map);
+  ASSERT_TRUE(fault::WeightsMatch(golden, golden, fx.design.memory_map));
   ASSERT_GT(fault::WeightRegionBytes(fx.design.memory_map), 0);
 
   MemoryImage image = golden;
@@ -154,25 +153,26 @@ TEST(FaultInjector, ChecksumDetectsFlipAndScrubRestores) {
     if (StartsWith(r.name, "weights:")) weight_addr = r.base;
   ASSERT_GE(weight_addr, 0);
   image.FlipBit(weight_addr, 3);
-  EXPECT_NE(fault::WeightChecksum(image, fx.design.memory_map), reference);
+  EXPECT_FALSE(fault::WeightsMatch(image, golden, fx.design.memory_map));
 
   const std::int64_t copied =
       fault::ScrubWeights(image, golden, fx.design.memory_map);
   EXPECT_EQ(copied, fault::WeightRegionBytes(fx.design.memory_map));
-  EXPECT_EQ(fault::WeightChecksum(image, fx.design.memory_map), reference);
+  EXPECT_TRUE(fault::WeightsMatch(image, golden, fx.design.memory_map));
 }
 
-TEST(FaultInjector, BlobFlipsDoNotAffectWeightChecksum) {
+TEST(FaultInjector, BlobFlipsDoNotAffectWeightCompare) {
   const Fixture fx;
-  MemoryImage image = BuildHostImage(fx.net, fx.design, fx.weights);
-  const std::uint64_t reference =
-      fault::WeightChecksum(image, fx.design.memory_map);
+  const MemoryImage golden =
+      BuildHostImage(fx.net, fx.design, fx.weights);
+  MemoryImage image = golden;
   for (const MemoryRegion& r : fx.design.memory_map.regions())
     if (StartsWith(r.name, "blob:")) {
       image.FlipBit(r.base, 0);
       break;
     }
-  EXPECT_EQ(fault::WeightChecksum(image, fx.design.memory_map), reference);
+  EXPECT_NE(image.bytes(), golden.bytes());
+  EXPECT_TRUE(fault::WeightsMatch(image, golden, fx.design.memory_map));
 }
 
 // ISSUE 3 acceptance: a seeded campaign of >= 100 weight-region bit

@@ -1,7 +1,11 @@
 // Tests for the generic prototxt lexer/parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/error.h"
+#include "frontend/network_def.h"
 #include "frontend/prototxt.h"
 
 namespace db {
@@ -122,6 +126,42 @@ TEST(Prototxt, TypeMismatchThrows) {
   const PtMessage msg = ParsePrototxt("a: \"text\"\nn: 5\n");
   EXPECT_THROW(msg.GetInt("a", 0), Error);
   EXPECT_THROW(msg.GetBool("n", false), Error);
+}
+
+TEST(Prototxt, IntegerFieldsRejectFractionsAndOutOfRange) {
+  const PtMessage msg = ParsePrototxt(
+      "half: 2.5\nhuge: 1e30\nsmall: -1e30\ntop: 9223372036854775808\n"
+      "bottom: -9223372036854775808\nhundreds: 3e2\nnegzero: -0.0\n");
+  const auto message = [&](const std::string& name) -> std::string {
+    try {
+      msg.GetInt(name, 0);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_NE(message("half").find("'half' value 2.5 is not an integer "
+                                 "(line 1)"),
+            std::string::npos)
+      << message("half");
+  EXPECT_NE(message("huge").find("'huge' value 1e30 is outside the "
+                                 "integer range (line 2)"),
+            std::string::npos)
+      << message("huge");
+  EXPECT_NE(message("small").find("outside the integer range (line 3)"),
+            std::string::npos);
+  // 2^63 is one past INT64_MAX; -2^63 is INT64_MIN itself.
+  EXPECT_NE(message("top").find("outside the integer range (line 4)"),
+            std::string::npos);
+  EXPECT_EQ(msg.GetInt("bottom", 0), INT64_MIN);
+  EXPECT_EQ(msg.GetInt("hundreds", 0), 300);
+  EXPECT_EQ(msg.GetInt("negzero", 1), 0);
+
+  // Repeated integer fields (input_dim) go through the same check.
+  EXPECT_THROW(ParseNetworkDef("name: \"n\"\ninput: \"data\"\n"
+                               "input_dim: 1\ninput_dim: 3\n"
+                               "input_dim: 8.5\ninput_dim: 8\n"),
+               Error);
 }
 
 TEST(Prototxt, DeeplyNested) {
