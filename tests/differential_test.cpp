@@ -270,12 +270,9 @@ WeightStore GoldenWeights(const Network& net) {
 
 /// FNV-1a over every layer's raw activations, in layer order.
 std::uint64_t ActivationDigest(const Network& net,
-                               const AcceleratorDesign& design,
-                               const WeightStore& weights,
-                               const Tensor& input) {
-  const FixedFormat& fmt = design.config.format;
-  const std::map<std::string, Tensor> acts =
-      FunctionalSimulator(net, design, weights).RunAll(input);
+                               const FunctionalSimulator& sim,
+                               const FixedFormat& fmt, const Tensor& input) {
+  const std::map<std::string, Tensor> acts = sim.RunAll(input);
   std::uint64_t hash = kFnvOffsetBasis;
   for (const IrLayer& layer : net.layers()) {
     for (const float v : acts.at(layer.name()).storage()) {
@@ -286,6 +283,35 @@ std::uint64_t ActivationDigest(const Network& net,
     }
   }
   return hash;
+}
+
+std::uint64_t ActivationDigest(const Network& net,
+                               const AcceleratorDesign& design,
+                               const WeightStore& weights,
+                               const Tensor& input) {
+  return ActivationDigest(net, FunctionalSimulator(net, design, weights),
+                          design.config.format, input);
+}
+
+/// The golden conv/FC script: padded, strided, grouped and 1x1
+/// convolutions feeding an FC layer.
+std::string GoldenScript() {
+  return
+      "name: \"golden\"\ninput: \"data\"\ninput_dim: 1\n"
+      "input_dim: 4\ninput_dim: 15\ninput_dim: 15\n"
+      "layers { name: \"conv1\" type: CONVOLUTION bottom: \"data\" "
+      "top: \"conv1\" convolution_param { num_output: 10 kernel_size: 5 "
+      "stride: 2 pad: 2 group: 2 } }\n"
+      "layers { name: \"relu1\" type: RELU bottom: \"conv1\" "
+      "top: \"relu1\" }\n"
+      "layers { name: \"cccp1\" type: CONVOLUTION bottom: \"relu1\" "
+      "top: \"cccp1\" convolution_param { num_output: 7 kernel_size: 1 "
+      "stride: 1 } }\n"
+      "layers { name: \"conv2\" type: CONVOLUTION bottom: \"cccp1\" "
+      "top: \"conv2\" convolution_param { num_output: 6 kernel_size: 3 "
+      "stride: 1 pad: 1 } }\n"
+      "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"conv2\" "
+      "top: \"fc\" inner_product_param { num_output: 5 } }\n";
 }
 
 /// A kernel-independent oracle: every layer's raw activations, pinned
@@ -321,26 +347,10 @@ TEST(Differential, GoldenActivationDigestsAcrossZoo) {
     EXPECT_EQ(digest, g.digest) << std::hex << "0x" << digest;
   }
 
-  const std::string script =
-      "name: \"golden\"\ninput: \"data\"\ninput_dim: 1\n"
-      "input_dim: 4\ninput_dim: 15\ninput_dim: 15\n"
-      "layers { name: \"conv1\" type: CONVOLUTION bottom: \"data\" "
-      "top: \"conv1\" convolution_param { num_output: 10 kernel_size: 5 "
-      "stride: 2 pad: 2 group: 2 } }\n"
-      "layers { name: \"relu1\" type: RELU bottom: \"conv1\" "
-      "top: \"relu1\" }\n"
-      "layers { name: \"cccp1\" type: CONVOLUTION bottom: \"relu1\" "
-      "top: \"cccp1\" convolution_param { num_output: 7 kernel_size: 1 "
-      "stride: 1 } }\n"
-      "layers { name: \"conv2\" type: CONVOLUTION bottom: \"cccp1\" "
-      "top: \"conv2\" convolution_param { num_output: 6 kernel_size: 3 "
-      "stride: 1 pad: 1 } }\n"
-      "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"conv2\" "
-      "top: \"fc\" inner_product_param { num_output: 5 } }\n";
   // Q8.16 runs on the int64 kernels; Q16.16 fails the narrow-path proof
   // and runs the __int128 reference tile.  No value of this input
   // saturates at 24 bits, so both must give the same digest.
-  const Network net = Network::Build(ParseNetworkDef(script));
+  const Network net = Network::Build(ParseNetworkDef(GoldenScript()));
   const WeightStore weights = GoldenWeights(net);
   Tensor input(Shape{4, 15, 15});
   Rng rng(24);
@@ -358,6 +368,84 @@ TEST(Differential, GoldenActivationDigestsAcrossZoo) {
         ActivationDigest(net, design, weights, input);
     EXPECT_EQ(digest, 0x7e350ed407638bc5ull) << std::hex << "0x" << digest;
   }
+}
+
+/// Formats of 16 bits or fewer other than Q7.8, on the golden script:
+/// Q3.4 stores 1-byte words and Q5.6 stores 2-byte words.  Each format
+/// is pinned twice: from the quantised WeightStore, and from an image
+/// whose every 7th weight word has its top stored bit flipped.  At 12
+/// bits that bit lies above the format's range, so the decode must
+/// saturate the word; at 8 bits it is the sign bit.
+TEST(Differential, GoldenActivationDigestsAtNarrowFormats) {
+  struct Golden {
+    int bit_width;
+    int frac_bits;
+    std::uint64_t quantised;
+    std::uint64_t flipped;
+  };
+  const Golden kGolden[] = {
+      {8, 4, 0xd95f06791102841eull, 0x2c8a4ecbb4e2da5full},
+      {12, 6, 0xa2847baa4df67adbull, 0x5395eea18a8eaceaull},
+  };
+  const Network net = Network::Build(ParseNetworkDef(GoldenScript()));
+  const WeightStore weights = GoldenWeights(net);
+  Tensor input(Shape{4, 15, 15});
+  Rng rng(24);
+  input.FillUniform(rng, -4.0f, 4.0f);
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE("bit_width=" + std::to_string(g.bit_width));
+    DesignConstraint constraint = DbConstraint();
+    constraint.bit_width = g.bit_width;
+    constraint.frac_bits = g.frac_bits;
+    const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+    const FixedFormat& fmt = design.config.format;
+    const std::uint64_t quantised =
+        ActivationDigest(net, design, weights, input);
+    EXPECT_EQ(quantised, g.quantised) << std::hex << "0x" << quantised;
+
+    MemoryImage image =
+        BuildMemoryImage(net, design, weights, {{"data", input}});
+    const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+    const int bit = 8 * elem_bytes - 1;
+    for (const IrLayer* layer : net.ComputeLayers()) {
+      if (!weights.Has(layer->name())) continue;
+      const std::int64_t base = design.memory_map.Weights(layer->name()).base;
+      for (std::int64_t i = 0; i < ParamCountsFor(*layer).weights; i += 7)
+        image.FlipBit(base + i * elem_bytes + bit / 8, bit % 8);
+    }
+    const FunctionalSimulator sim(
+        net, design,
+        std::make_shared<const RawWeights>(
+            RawWeights::Decode(image, net, design)));
+    const std::uint64_t flipped = ActivationDigest(net, sim, fmt, input);
+    EXPECT_EQ(flipped, g.flipped) << std::hex << "0x" << flipped;
+  }
+}
+
+/// The int16 multiply-add wrap edge: at Q7.8 a pair of raw_min weights
+/// against a pair of raw_min inputs sums to (-32768)^2 * 2 = 2^31, one
+/// past int32.  conv1's weights on input channel 0 and every other FC
+/// weight sit at raw_min, and input channel 0 does too, so an int32
+/// pair sum would wrap where the datapath's exact sum saturates.
+TEST(Differential, GoldenActivationDigestAtTheMaddWrapEdge) {
+  const Network net = Network::Build(ParseNetworkDef(GoldenScript()));
+  WeightStore weights = GoldenWeights(net);
+  // conv1: [10][2][5][5] (group 2); input channel 0 is ic 0 of group 0.
+  Tensor& conv1 = weights.at("conv1").weights;
+  for (std::int64_t oc = 0; oc < 5; ++oc)
+    for (std::int64_t t = 0; t < 25; ++t) conv1[oc * 50 + t] = -1000.0f;
+  Tensor& fc = weights.at("fc").weights;
+  for (std::int64_t i = 0; i < fc.size(); i += 2) fc[i] = -1000.0f;
+  Tensor input(Shape{4, 15, 15});
+  Rng rng(24);
+  input.FillUniform(rng, -4.0f, 4.0f);
+  for (std::int64_t i = 0; i < 15 * 15; ++i) input[i] = -1000.0f;
+  const AcceleratorDesign design = GenerateAccelerator(net, DbConstraint());
+  ASSERT_EQ(design.config.format.total_bits(), 16);
+  ASSERT_EQ(design.config.format.frac_bits(), 8);
+  const std::uint64_t digest =
+      ActivationDigest(net, design, weights, input);
+  EXPECT_EQ(digest, 0x8dc5dd9f302ea850ull) << std::hex << "0x" << digest;
 }
 
 // ------------------------------------------- SIMD vs scalar bit-identity
