@@ -49,13 +49,16 @@ echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 cmake --preset asan
 # The pure serving planner (serve_plan_test, including its 10^6-request
 # chaos plan), the golden serving oracle and the provisioning oracle
-# (image encode, raw-weight decode, the shared snapshot) run here too.
+# (image encode, raw-weight decode, the shared snapshot) run here too,
+# and so do the kernels and the functional simulator: the int16 tap
+# panel packing and the weight-pair reads that may touch the snapshot's
+# trailing pad word are where an out-of-bounds read would hide.
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test serve_plan_test serve_golden_test trace_test \
            common_test perf_model_test host_runtime_test system_sim_test \
-           obs_test provisioning_test
+           obs_test provisioning_test kernels_test functional_sim_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Planner|ServeGolden|Provisioning|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
+  -R 'Planner|ServeGolden|Provisioning|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels|RoundShiftHalfAway|SimArena|FunctionalSim'
 
 echo "== tier-1: UBSan on the static verifier and RTL lint =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap

@@ -34,6 +34,17 @@ std::string ResourceBudget::ToString() const {
   return os.str();
 }
 
+namespace {
+
+/// Rejects NaN, the infinities and anything outside [lo, hi].
+void RequireInRange(const char* field, double value, double lo, double hi) {
+  if (!(value >= lo && value <= hi))
+    DB_THROW(field << " must be in [" << lo << ", " << hi << "], got "
+             << value);
+}
+
+}  // namespace
+
 DesignConstraint ParseConstraint(const std::string& prototxt_text) {
   const PtMessage root = ParsePrototxt(prototxt_text);
   DesignConstraint c;
@@ -73,7 +84,11 @@ DesignConstraint ParseConstraint(const std::string& prototxt_text) {
     } else if (f.name == "ff") {
       c.explicit_budget.ff = root.GetInt("ff", 0);
     } else if (f.name == "bram_kb") {
-      c.explicit_budget.bram_bytes = root.GetInt("bram_kb", 0) * 1024;
+      const std::int64_t kb = root.GetInt("bram_kb", 0);
+      if (kb < 0 || kb > INT64_MAX / 1024)
+        DB_THROW("bram_kb must be in [0, " << INT64_MAX / 1024 << "], got "
+                 << kb);
+      c.explicit_budget.bram_bytes = kb * 1024;
     } else {
       throw ParseError(f.line, "unknown constraint field '" + f.name + "'");
     }
@@ -82,9 +97,10 @@ DesignConstraint ParseConstraint(const std::string& prototxt_text) {
     DB_THROW("constraint bit_width must be in [4,32], got " << c.bit_width);
   if (c.frac_bits < 0 || c.frac_bits >= c.bit_width)
     DB_THROW("constraint frac_bits must be in [0,bit_width)");
-  if (c.frequency_mhz <= 0.0) DB_THROW("frequency_mhz must be positive");
-  if (c.dram_bandwidth_gbs <= 0.0)
-    DB_THROW("dram_bandwidth_gbs must be positive");
+  RequireInRange("frequency_mhz", c.frequency_mhz, kMinFrequencyMhz,
+                 kMaxFrequencyMhz);
+  RequireInRange("dram_bandwidth_gbs", c.dram_bandwidth_gbs,
+                 kMinDramBandwidthGbs, kMaxDramBandwidthGbs);
   if (c.approx_lut_entries < 2)
     DB_THROW("approx_lut_entries must be >= 2");
   return c;

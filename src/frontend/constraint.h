@@ -59,8 +59,17 @@ struct DesignConstraint {
   bool approx_lut_interpolate = true;
 };
 
+/// The accepted ranges of the double fields.  A fabric clock runs between
+/// 1 MHz and 1 GHz; a DDR interface moves between 1 MB/s and 1 TB/s.
+inline constexpr double kMinFrequencyMhz = 1.0;
+inline constexpr double kMaxFrequencyMhz = 1000.0;
+inline constexpr double kMinDramBandwidthGbs = 0.001;
+inline constexpr double kMaxDramBandwidthGbs = 1000.0;
+
 /// Parse a constraint script.  Unknown fields are rejected so typos fail
-/// loudly (the constraint is small and user-authored).
+/// loudly (the constraint is small and user-authored), and so are
+/// doubles outside their ranges above (NaN and infinities included) and
+/// a bram_kb whose byte count overflows int64.
 DesignConstraint ParseConstraint(const std::string& prototxt_text);
 
 /// Canonical serialisation (round-trip tests).

@@ -14,6 +14,17 @@ std::string BlobShape::ToString() const {
   return os.str();
 }
 
+namespace {
+
+/// n + 2 * pad - k, the extent a window of k sweeps over a padded input
+/// of n (negative when it does not fit), saturating so a pad near 2^62
+/// cannot wrap; the blob cap in Network::Build rejects what it yields.
+std::int64_t WindowSpan(std::int64_t n, std::int64_t k, std::int64_t pad) {
+  return SatAdd(n, SatMul(2, pad)) - k;
+}
+
+}  // namespace
+
 BlobShape InferOutputShape(const LayerDef& def,
                            const std::vector<BlobShape>& inputs) {
   auto require_one_input = [&]() -> const BlobShape& {
@@ -34,9 +45,9 @@ BlobShape InferOutputShape(const LayerDef& def,
         DB_THROW("convolution '" << def.name << "': input channels "
                  << in.channels << " not divisible by group " << p.group);
       const std::int64_t oh =
-          ConvOutDim(in.height, p.kernel_size, p.stride, p.pad);
+          WindowSpan(in.height, p.kernel_size, p.pad) / p.stride + 1;
       const std::int64_t ow =
-          ConvOutDim(in.width, p.kernel_size, p.stride, p.pad);
+          WindowSpan(in.width, p.kernel_size, p.pad) / p.stride + 1;
       if (oh <= 0 || ow <= 0)
         DB_THROW("convolution '" << def.name << "': kernel "
                  << p.kernel_size << " does not fit input "
@@ -48,14 +59,13 @@ BlobShape InferOutputShape(const LayerDef& def,
       const PoolingParams& p = *def.pool;
       // Caffe-style ceil semantics: a partially-covered window at the edge
       // still yields an output pixel.
-      const std::int64_t oh =
-          CeilDiv(in.height + 2 * p.pad - p.kernel_size, p.stride) + 1;
-      const std::int64_t ow =
-          CeilDiv(in.width + 2 * p.pad - p.kernel_size, p.stride) + 1;
-      if (oh <= 0 || ow <= 0)
+      const std::int64_t span_h = WindowSpan(in.height, p.kernel_size, p.pad);
+      const std::int64_t span_w = WindowSpan(in.width, p.kernel_size, p.pad);
+      if (span_h < 0 || span_w < 0)
         DB_THROW("pooling '" << def.name << "': kernel does not fit input "
                  << in.ToString());
-      return {in.channels, oh, ow};
+      return {in.channels, CeilDiv(span_h, p.stride) + 1,
+              CeilDiv(span_w, p.stride) + 1};
     }
     case LayerKind::kInnerProduct: {
       const BlobShape& in = require_one_input();
@@ -114,6 +124,59 @@ BlobShape InferOutputShape(const LayerDef& def,
 
 namespace {
 
+/// channels x height x width, saturating at INT64_MAX.
+std::int64_t CheckedElements(const BlobShape& s) {
+  return SatMul(SatMul(s.channels, s.height), s.width);
+}
+
+/// All of a layer's parameter words, saturating: the tensors
+/// ParamCountsFor (nn/weights.h) allocates, summed.
+std::int64_t CheckedParamCount(const IrLayer& layer) {
+  if (layer.input_shapes.empty()) return 0;
+  const std::int64_t in_n = CheckedElements(layer.input_shapes.front());
+  // out x fan_in weights, out x state recurrent words, and out bias
+  // words if `bias`.
+  auto words = [](std::int64_t out, std::int64_t fan_in, std::int64_t state,
+                  bool bias) {
+    return SatAdd(SatAdd(SatMul(out, fan_in), SatMul(out, state)),
+                  bias ? out : 0);
+  };
+  switch (layer.kind()) {
+    case LayerKind::kConvolution: {
+      const ConvolutionParams& p = *layer.def.conv;
+      const std::int64_t fan_in =
+          SatMul(layer.input_shapes.front().channels / p.group,
+                 SatMul(p.kernel_size, p.kernel_size));
+      return words(p.num_output, fan_in, 0, p.bias);
+    }
+    case LayerKind::kInnerProduct:
+      return words(layer.def.fc->num_output, in_n, 0, layer.def.fc->bias);
+    case LayerKind::kRecurrent: {
+      const std::int64_t n = layer.def.recurrent->num_output;
+      return words(n, in_n, n, true);
+    }
+    case LayerKind::kLstm: {
+      const std::int64_t n = layer.def.lstm->num_output;
+      return words(SatMul(4, n), in_n, n, true);
+    }
+    case LayerKind::kAssociative:
+      return words(layer.def.associative->num_output,
+                   layer.def.associative->num_cells, 0, false);
+    default:
+      return 0;
+  }
+}
+
+/// Rejects a blob or parameter count over kMaxTensorElements.
+void RequireWithinCap(const std::string& layer, const char* what,
+                      std::int64_t elements) {
+  if (elements > kMaxTensorElements)
+    DB_THROW("layer '" << layer << "': " << what << " of "
+             << (elements == INT64_MAX ? std::string("at least 2^63-1")
+                                       : std::to_string(elements))
+             << " elements exceeds the cap of " << kMaxTensorElements);
+}
+
 bool IsInPlaceKind(LayerKind kind) {
   switch (kind) {
     case LayerKind::kRelu:
@@ -146,6 +209,8 @@ Network Network::Build(const NetworkDef& def) {
     layer.def.kind = LayerKind::kInput;
     layer.def.tops = {in.name};
     layer.output_shape = {in.channels, in.height, in.width};
+    RequireWithinCap(in.name, "input blob",
+                     CheckedElements(layer.output_shape));
     if (!blob_producer.emplace(in.name, layer.id).second)
       DB_THROW("duplicate input blob '" << in.name << "'");
     layer_names.insert(in.name);
@@ -172,6 +237,9 @@ Network Network::Build(const NetworkDef& def) {
           net.layers_[static_cast<std::size_t>(it->second)].output_shape);
     }
     layer.output_shape = InferOutputShape(ldef, layer.input_shapes);
+    RequireWithinCap(ldef.name, "output blob",
+                     CheckedElements(layer.output_shape));
+    RequireWithinCap(ldef.name, "parameter count", CheckedParamCount(layer));
     layer.in_place = IsInPlaceKind(ldef.kind) && ldef.tops == ldef.bottoms;
 
     if (ldef.tops.empty())

@@ -16,6 +16,15 @@
 
 namespace db {
 
+/// The largest blob, and the largest parameter count of one layer (its
+/// weight, bias and recurrent tensors together), Network::Build accepts,
+/// in elements: 2^28, a 1 GiB float32 tensor.  The zoo's largest is
+/// Alexnet's fc6 at 9216 x 4096 + 4096 (37.8M).  Build computes both
+/// counts with saturating math and rejects a count over the cap with a
+/// db::Error naming the layer, before anything is allocated; past Build
+/// every NumElements() product is therefore exact.
+inline constexpr std::int64_t kMaxTensorElements = std::int64_t{1} << 28;
+
 /// Geometry of a feature-map blob: channels x height x width.
 struct BlobShape {
   std::int64_t channels = 0;
@@ -46,7 +55,8 @@ class Network {
  public:
   /// Build from a parsed definition.  Throws db::Error on dangling blobs,
   /// duplicate layer names, cycles (other than declared recurrent
-  /// connects), or shape mismatches.
+  /// connects), shape mismatches, or a blob or parameter count over
+  /// kMaxTensorElements.
   static Network Build(const NetworkDef& def);
 
   const std::string& name() const { return name_; }

@@ -70,7 +70,8 @@ VModule EmitSynergyNeuron(const BlockConfig& c) {
 }
 
 VModule EmitAccumulator(const BlockConfig& c) {
-  // Adder tree folding `lanes` partial sums into one; saturating output.
+  // Adder tree folding `lanes` partial sums into one, registered as a
+  // plain `sum <= tree_sum`: 2*bit_width wide and not saturated.
   VModule m;
   m.name = BlockModuleName(c);
   m.comment = "Partial-sum accumulator: " + DescribeBlock(c);

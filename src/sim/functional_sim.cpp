@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -56,27 +57,43 @@ std::int64_t MaxAccTerms(const Network& net) {
 // NarrowMath drives the SoA kernel backend with exact int64 sums; it is
 // selected only when MaxAccTerms x format width proves 63-bit
 // accumulation cannot overflow, which is what makes the vector lane
-// order immaterial (bit-identical to scalar).  WideMath is the __int128
-// fallback for formats where that proof fails; it shares the
+// order immaterial (bit-identical to scalar).  Its Word is the
+// snapshot's: int16 words run the multiply-add conv tile and dot16,
+// int32 words the int32 ones.  WideMath is the __int128 fallback for
+// formats where that proof fails (int32 words only); it shares the
 // round-half-away writeback so both paths implement the same hardware
 // rounder.
 // ---------------------------------------------------------------------
 
+template <typename W>
 struct NarrowMath {
+  using Word = W;
   using Acc = std::int64_t;
   const sim::KernelOps& ops;
 
   static Acc Bias(std::int32_t b, int f) {
     return static_cast<Acc>(b) << f;
   }
-  void ConvTile(Acc* acc, const std::int32_t* panel, std::size_t taps,
-                std::size_t width, const std::int32_t* w, const Acc* bias,
-                std::size_t n_oc) const {
-    ops.conv_tile(acc, panel, taps, width, w, bias, n_oc);
+  /// `flush_pairs` is conv_tile16's MaddFlushPairs interval; 0 runs the
+  /// exact tile.  Unused for int32 words.
+  void ConvTile(Acc* acc, const Word* panel, std::size_t taps,
+                std::size_t width, const Word* w, const Acc* bias,
+                std::size_t n_oc, std::size_t flush_pairs) const {
+    if constexpr (std::is_same_v<Word, std::int16_t>) {
+      if (flush_pairs == 0)
+        sim::ConvTile16Exact(acc, panel, taps, width, w, bias, n_oc);
+      else
+        ops.conv_tile16(acc, panel, taps, width, w, bias, n_oc,
+                        flush_pairs);
+    } else {
+      ops.conv_tile(acc, panel, taps, width, w, bias, n_oc);
+    }
   }
-  Acc Dot(const std::int32_t* a, const std::int32_t* b,
-          std::size_t n) const {
-    return ops.dot(a, b, n);
+  Acc Dot(const Word* w, const std::int32_t* a, std::size_t n) const {
+    if constexpr (std::is_same_v<Word, std::int16_t>)
+      return ops.dot16(w, a, n);
+    else
+      return ops.dot(w, a, n);
   }
   void Writeback(std::int32_t* out, const Acc* acc, std::size_t n,
                  const FixedFormat& fmt) const {
@@ -87,6 +104,7 @@ struct NarrowMath {
 };
 
 struct WideMath {
+  using Word = std::int32_t;
   using Acc = __int128;
 
   static Acc Bias(std::int32_t b, int f) {
@@ -94,7 +112,7 @@ struct WideMath {
   }
   void ConvTile(Acc* acc, const std::int32_t* panel, std::size_t taps,
                 std::size_t width, const std::int32_t* w, const Acc* bias,
-                std::size_t n_oc) const {
+                std::size_t n_oc, std::size_t /*flush_pairs*/) const {
     for (std::size_t j = 0; j < n_oc; ++j) {
       Acc* row = acc + j * width;
       std::fill(row, row + width, bias[j]);
@@ -151,6 +169,10 @@ FunctionalSimulator::FunctionalSimulator(
   const int term_bits = std::bit_width(
       static_cast<std::uint64_t>(max_terms));
   narrow_ = 2 * (fmt_.total_bits() - 1) + term_bits <= 62;
+  // Network::Build caps every tensor, so an int16 format's fan-in never
+  // reaches the 2^32 terms that would fail the proof.
+  DB_CHECK_MSG(narrow_ || !weights_->int16_words(),
+               "int16 weight words need int64 accumulation");
   // Resolve the kernel backend now, on the constructing thread: a bad
   // DB_SIM_KERNEL value must surface as db::Error where the CLI can
   // report it, not escape a replica lane thread and terminate.
@@ -172,9 +194,15 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
                                   const RawTensor& in0,
                                   RawTensor& out) const {
   using Acc = typename Math::Acc;
+  using Word = typename Math::Word;
+  // Taps per panel column: conv_tile16 interleaves int16 taps in pairs.
+  constexpr std::int64_t kPair = sizeof(std::int32_t) / sizeof(Word);
   const ConvolutionParams& p = *layer.def.conv;
-  const RawLayerParams& rp = weights_->at(layer);
+  const RawLayerParams<Word> rp = weights_->at<Word>(layer);
   const int f = fmt_.frac_bits();
+  const std::size_t flush_pairs =
+      kPair == 2 ? sim::MaddFlushPairs(rp.max_abs_weight, fmt_.total_bits())
+                 : 0;
   const std::int64_t in_h = in0.shape.height;
   const std::int64_t in_w = in0.shape.width;
   const std::int64_t out_h = out.shape.height;
@@ -187,7 +215,18 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
   const std::size_t width =
       (static_cast<std::size_t>(out_w) + sim::kConvTileWidth - 1) /
       sim::kConvTileWidth * sim::kConvTileWidth;
-  std::int32_t* panel = arena_.Alloc<std::int32_t>(taps * width);
+  // One panel row holds kPair taps of every pixel: P[t/kPair][x][kPair].
+  const std::int64_t padded_w = static_cast<std::int64_t>(width);
+  const std::int64_t row_words = padded_w * kPair;
+  const std::int64_t panel_rows =
+      (static_cast<std::int64_t>(taps) + kPair - 1) / kPair;
+  Word* panel =
+      arena_.Alloc<Word>(static_cast<std::size_t>(panel_rows * row_words));
+  // An odd tap count leaves the last pair's second half: zero it once.
+  if (static_cast<std::int64_t>(taps) % kPair != 0) {
+    Word* half = panel + (panel_rows - 1) * row_words + 1;
+    for (std::int64_t x = 0; x < padded_w; ++x) half[x * kPair] = 0;
+  }
   Acc* acc = arena_.Alloc<Acc>(sim::kConvTileRows * width);
   Acc* bias = arena_.Alloc<Acc>(static_cast<std::size_t>(out.shape.channels));
   for (std::int64_t oc = 0; oc < out.shape.channels; ++oc)
@@ -202,25 +241,27 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
   };
   for (std::int64_t y = 0; y < out_h; ++y) {
     for (std::int64_t g = 0; g < p.group; ++g) {
-      // 1. Pack the zero-padded tap panel P[(ic, ky, kx)][x].
-      std::int32_t* row = panel;
+      // 1. Pack the zero-padded tap panel.  Activations are in the
+      //    format's range, so an int16 panel holds them exactly.
+      std::int64_t t = 0;
       for (std::int64_t ic = g * group_in; ic < (g + 1) * group_in; ++ic) {
         for (std::int64_t ky = 0; ky < k; ++ky) {
           const std::int64_t iy = y * s - p.pad + ky;
           const bool inside = iy >= 0 && iy < in_h;
-          for (std::int64_t kx = 0; kx < k; ++kx, row += width) {
+          for (std::int64_t kx = 0; kx < k; ++kx, ++t) {
+            Word* row = panel + t / kPair * row_words + t % kPair;
             const std::int64_t x_lo =
                 inside ? first_x_reading_at_least(0, kx) : 0;
             const std::int64_t x_hi =
                 inside ? first_x_reading_at_least(in_w, kx) : 0;
-            std::fill(row, row + x_lo, 0);
+            for (std::int64_t x = 0; x < x_lo; ++x) row[x * kPair] = 0;
             if (x_lo < x_hi) {
               const std::int32_t* src =
                   in0.raw + (ic * in_h + iy) * in_w + x_lo * s - p.pad + kx;
               for (std::int64_t x = x_lo; x < x_hi; ++x)
-                row[x] = src[(x - x_lo) * s];
+                row[x * kPair] = static_cast<Word>(src[(x - x_lo) * s]);
             }
-            std::fill(row + x_hi, row + width, 0);
+            for (std::int64_t x = x_hi; x < padded_w; ++x) row[x * kPair] = 0;
           }
         }
       }
@@ -232,7 +273,7 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
             sim::kConvTileRows, static_cast<std::size_t>(oc_end - oc));
         math.ConvTile(acc, panel, taps, width,
                       rp.weights.data() + static_cast<std::size_t>(oc) * taps,
-                      bias + oc, n_oc);
+                      bias + oc, n_oc, flush_pairs);
         for (std::size_t j = 0; j < n_oc; ++j)
           math.Writeback(
               out.raw + ((oc + static_cast<std::int64_t>(j)) * out_h + y) *
@@ -250,7 +291,7 @@ void FunctionalSimulator::RunInnerProduct(const Math& math,
                                           RawTensor& out) const {
   using Acc = typename Math::Acc;
   const InnerProductParams& p = *layer.def.fc;
-  const RawLayerParams& rp = weights_->at(layer);
+  const auto rp = weights_->at<typename Math::Word>(layer);
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   Acc* acc = arena_.Alloc<Acc>(static_cast<std::size_t>(p.num_output));
@@ -308,7 +349,7 @@ void FunctionalSimulator::RunRecurrent(const Math& math,
                                        RawTensor& out) const {
   using Acc = typename Math::Acc;
   const RecurrentParams& p = *layer.def.recurrent;
-  const RawLayerParams& rp = weights_->at(layer);
+  const auto rp = weights_->at<typename Math::Word>(layer);
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   const std::size_t n_out = static_cast<std::size_t>(p.num_output);
@@ -345,7 +386,7 @@ void FunctionalSimulator::RunLstm(const Math& math, const IrLayer& layer,
                                   RawTensor& out) const {
   using Acc = typename Math::Acc;
   const LstmParams& p = *layer.def.lstm;
-  const RawLayerParams& rp = weights_->at(layer);
+  const auto rp = weights_->at<typename Math::Word>(layer);
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   const std::int64_t h = p.num_output;
@@ -462,17 +503,23 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
   DB_CHECK(num_ins >= 1);
   const RawTensor& in0 = *ins[0];
   const sim::KernelOps& ops = sim::ActiveKernels();
-  const NarrowMath narrow{ops};
-  const WideMath wide;
+  // fn(math) with this design's accumulation policy.
+  auto with_math = [&](auto&& fn) {
+    if (weights_->int16_words())
+      fn(NarrowMath<std::int16_t>{ops});
+    else if (narrow_)
+      fn(NarrowMath<std::int32_t>{ops});
+    else
+      fn(WideMath{});
+  };
 
   switch (layer.kind()) {
     case LayerKind::kConvolution:
-      narrow_ ? RunConv(narrow, layer, in0, out)
-              : RunConv(wide, layer, in0, out);
+      with_math([&](const auto& math) { RunConv(math, layer, in0, out); });
       break;
     case LayerKind::kInnerProduct:
-      narrow_ ? RunInnerProduct(narrow, layer, in0, out)
-              : RunInnerProduct(wide, layer, in0, out);
+      with_math(
+          [&](const auto& math) { RunInnerProduct(math, layer, in0, out); });
       break;
     case LayerKind::kPooling:
       RunPooling(layer, in0, out);
@@ -493,8 +540,7 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
       break;
     }
     case LayerKind::kLrn:
-      narrow_ ? RunLrn(narrow, layer, in0, out)
-              : RunLrn(wide, layer, in0, out);
+      with_math([&](const auto& math) { RunLrn(math, layer, in0, out); });
       break;
     case LayerKind::kSoftmax: {
       const ApproxLut& exp_lut = LutFor(LutFunction::kExp);
@@ -520,31 +566,31 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
       std::memcpy(out.raw, in0.raw, in0.n * sizeof(std::int32_t));
       break;
     case LayerKind::kRecurrent:
-      narrow_ ? RunRecurrent(narrow, layer, in0, out)
-              : RunRecurrent(wide, layer, in0, out);
+      with_math(
+          [&](const auto& math) { RunRecurrent(math, layer, in0, out); });
       break;
     case LayerKind::kLstm:
-      narrow_ ? RunLstm(narrow, layer, in0, out)
-              : RunLstm(wide, layer, in0, out);
+      with_math([&](const auto& math) { RunLstm(math, layer, in0, out); });
       break;
     case LayerKind::kAssociative: {
       // CMAC: the per-output sum over active cells is a chain of
       // SATURATING adds in cell order — order-sensitive, kept scalar.
       const AssociativeParams& p = *layer.def.associative;
-      const RawLayerParams& rp = weights_->at(layer);
       std::vector<float> x;
       x.reserve(in0.n);
       for (std::size_t i = 0; i < in0.n; ++i)
         x.push_back(static_cast<float>(fmt_.Dequantize(in0.raw[i])));
       const std::vector<std::int64_t> cells = CmacActiveCells(x, p);
-      for (std::int64_t o = 0; o < p.num_output; ++o) {
-        std::int64_t acc = 0;
-        for (std::int64_t cell : cells)
-          acc = fmt_.Add(acc, rp.weights[static_cast<std::size_t>(
-                                  o * p.num_cells + cell)]);
-        out.raw[static_cast<std::size_t>(o)] =
-            static_cast<std::int32_t>(acc);
-      }
+      weights_->Visit(layer, [&](const auto& rp) {
+        for (std::int64_t o = 0; o < p.num_output; ++o) {
+          std::int64_t acc = 0;
+          for (std::int64_t cell : cells)
+            acc = fmt_.Add(acc, rp.weights[static_cast<std::size_t>(
+                                    o * p.num_cells + cell)]);
+          out.raw[static_cast<std::size_t>(o)] =
+              static_cast<std::int32_t>(acc);
+        }
+      });
       break;
     }
     case LayerKind::kConcat: {

@@ -17,6 +17,14 @@
 //
 // Weights: the simulator reads one immutable raw-weight snapshot
 // (sim/raw_weights.h), shared with every other simulator built on it.
+// Its words are the DRAM words: int16 for formats of 16 bits or fewer.
+// Those run convolution on the int16 multiply-add tile, with the
+// activations packed into an int16 panel (exact: every activation lies
+// in the format's range) and int32 partial sums flushed into int64
+// every MaddFlushPairs(max|w|, total_bits) pairs, which keeps them
+// exact; a layer holding a -32768 word at 16 bits, where one pair can
+// wrap int32, runs the exact int64 tile.  FC, recurrent and LSTM rows
+// run dot16 over the same int16 words.
 //
 // Threading contract: a FunctionalSimulator owns one scratch arena, so
 // concurrent Run() calls on the SAME instance are not supported.  Every
@@ -39,8 +47,9 @@ namespace db {
 /// Functional simulator bound to one generated design.
 class FunctionalSimulator {
  public:
-  /// Quantises the weights once at construction (the ARM host's
-  /// preprocessing step in the paper's flow).
+  /// Quantises the weights once at construction, straight into the
+  /// snapshot's DRAM words (the ARM host's preprocessing step in the
+  /// paper's flow).
   FunctionalSimulator(const Network& net, const AcceleratorDesign& design,
                       const WeightStore& weights);
 

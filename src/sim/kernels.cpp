@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -37,8 +38,42 @@ void ScalarConvTile(std::int64_t* acc, const std::int32_t* panel,
   }
 }
 
-std::int64_t ScalarDot(const std::int32_t* a, const std::int32_t* b,
-                       std::size_t n) {
+/// conv_tile16's pair sums: int32 partial sums, flushed every
+/// `flush_pairs` pairs (exact under the MaddFlushPairs bound).
+void ScalarConvTile16(std::int64_t* acc, const std::int16_t* panel,
+                      std::size_t taps, std::size_t width,
+                      const std::int16_t* w, const std::int64_t* bias,
+                      std::size_t n_oc, std::size_t flush_pairs) {
+  const std::size_t pairs = (taps + 1) / 2;
+  for (std::size_t x0 = 0; x0 < width; x0 += kConvTileWidth) {
+    std::int64_t tile[kConvTileRows][kConvTileWidth];
+    for (std::size_t j = 0; j < n_oc; ++j)
+      for (std::int64_t& v : tile[j]) v = bias[j];
+    const std::int16_t* p = panel + 2 * x0;
+    for (std::size_t pp = 0; pp < pairs;) {
+      const std::size_t end =
+          pairs - pp > flush_pairs ? pp + flush_pairs : pairs;
+      std::int32_t sum[kConvTileRows][kConvTileWidth] = {};
+      for (; pp < end; ++pp, p += 2 * width) {
+        for (std::size_t j = 0; j < n_oc; ++j) {
+          const std::int32_t w0 = w[j * taps + 2 * pp];
+          const std::int32_t w1 = w[j * taps + 2 * pp + 1];
+          for (std::size_t i = 0; i < kConvTileWidth; ++i)
+            sum[j][i] += w0 * p[2 * i] + w1 * p[2 * i + 1];
+        }
+      }
+      for (std::size_t j = 0; j < n_oc; ++j)
+        for (std::size_t i = 0; i < kConvTileWidth; ++i)
+          tile[j][i] += sum[j][i];
+    }
+    for (std::size_t j = 0; j < n_oc; ++j)
+      std::copy(tile[j], tile[j] + kConvTileWidth, acc + j * width + x0);
+  }
+}
+
+/// dot (Word = int32) and dot16 (Word = int16).
+template <typename Word>
+std::int64_t ScalarDot(const Word* a, const std::int32_t* b, std::size_t n) {
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < n; ++i)
     sum += static_cast<std::int64_t>(a[i]) * b[i];
@@ -69,11 +104,41 @@ std::int32_t ScalarMaxValue(const std::int32_t* in, std::size_t n,
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",        ScalarConvTile, ScalarDot,
-    ScalarWriteback, ScalarRelu,     ScalarMaxValue,
+    "scalar",
+    ScalarConvTile,
+    ScalarConvTile16,
+    ScalarDot<std::int32_t>,
+    ScalarDot<std::int16_t>,
+    ScalarWriteback,
+    ScalarRelu,
+    ScalarMaxValue,
 };
 
 }  // namespace
+
+std::size_t MaddFlushPairs(std::int32_t max_abs_weight, int total_bits) {
+  DB_CHECK_MSG(total_bits >= 1 && total_bits <= 16 && max_abs_weight >= 0,
+               "the madd tile serves formats of 16 bits or fewer");
+  if (max_abs_weight == 0) return SIZE_MAX;
+  const std::int64_t pair_max = std::int64_t{2} * max_abs_weight
+                                << (total_bits - 1);
+  return static_cast<std::size_t>(INT32_MAX / pair_max);
+}
+
+void ConvTile16Exact(std::int64_t* acc, const std::int16_t* panel,
+                     std::size_t taps, std::size_t width,
+                     const std::int16_t* w, const std::int64_t* bias,
+                     std::size_t n_oc) {
+  for (std::size_t j = 0; j < n_oc; ++j) {
+    std::int64_t* row = acc + j * width;
+    std::fill(row, row + width, bias[j]);
+    for (std::size_t t = 0; t < taps; ++t) {
+      const std::int64_t wt = w[j * taps + t];
+      const std::int16_t* p = panel + (t / 2) * 2 * width + t % 2;
+      for (std::size_t x = 0; x < width; ++x) row[x] += wt * p[2 * x];
+    }
+  }
+}
 
 const KernelOps& ScalarKernels() { return kScalarOps; }
 

@@ -1,31 +1,40 @@
 // SoA fixed-point kernel layer for the simulator hot path.
 //
 // The functional simulator executes the folded datapath as dense MAC /
-// activation sweeps over structure-of-arrays state: raw operands are
+// activation sweeps over structure-of-arrays state.  Activations are
 // int32 (every FixedFormat raw value fits — total_bits <= 32) and
-// accumulators are int64.  This header is the contract between the
-// simulator and the two interchangeable kernel backends:
+// accumulators are int64.  Weights are the raw-weight snapshot's words
+// (sim/raw_weights.h): int16 for formats of 16 bits or fewer — every zoo
+// design, at Q7.8 — and int32 for wider ones.  This header is the
+// contract between the simulator and the two interchangeable kernel
+// backends:
 //
 //   * scalar  — portable reference, always available
-//   * avx2    — 4/8-lane vectorised variants, compiled into the build on
-//               x86-64 and selected at runtime only when the CPU reports
-//               AVX2
+//   * avx2    — vectorised variants, compiled into the build on x86-64
+//               and selected at runtime only when the CPU reports AVX2
 //
-// Every convolution lowers onto one op, `conv_tile`: the simulator packs
-// one output row's receptive fields into a zero-padded tap panel
-// P[tap][x] (tap = (ic, ky, kx), which absorbs stride, pad, clipping and
-// groups), and the tile op sweeps it in register blocks of
-// kConvTileRows output channels x kConvTileWidth pixels, keeping the
-// int64 accumulators in registers across every tap — the loop tiling
-// and register blocking of an FPGA MAC array, applied on the host.
+// Every convolution lowers onto one tile op: the simulator packs one
+// output row's receptive fields into a zero-padded tap panel (tap =
+// (ic, ky, kx), which absorbs stride, pad, clipping and groups), and the
+// tile op sweeps it in register blocks of kConvTileRows output channels
+// x kConvTileWidth pixels — the loop tiling and register blocking of an
+// FPGA MAC array, applied on the host.  With int16 words the panel is
+// int16 too, its taps interleaved in pairs, and `conv_tile16` runs the
+// 16-bit multiply-add datapath of paper §4.1 (_mm256_madd_epi16: two
+// 16x16-bit products summed into one int32 lane).  Its int32 partial
+// sums are flushed into the int64 accumulators every K pairs, where
+// K = MaddFlushPairs(max|w|, total_bits) makes each flushed sum provably
+// fit int32; a layer where a single pair can wrap (K = 0) runs
+// ConvTile16Exact instead.
 //
 // Both backends are BIT-IDENTICAL by construction: every kernel either
-// is elementwise or accumulates exact int64 sums (the simulator only
+// is elementwise or accumulates exact integer sums (the simulator only
 // routes a layer through these kernels when the accumulation provably
-// cannot overflow 63 bits, so summation order is immaterial).  The
-// differential test suite pins this equivalence across the model zoo,
-// and pins golden activation digests that do not depend on either
-// backend.
+// cannot overflow 63 bits, and only hands conv_tile16 a flush interval
+// whose int32 partial sums cannot wrap, so summation order is
+// immaterial).  The differential test suite pins this equivalence
+// across the model zoo, and pins golden activation digests that do not
+// depend on either backend.
 //
 // The arena allocator below carries the per-run scratch state (layer
 // activations, tap panels, accumulator tiles, gate buffers) so a
@@ -68,17 +77,36 @@ inline __int128 RoundShiftHalfAway128(__int128 v, int frac_bits) {
 // Kernel ops table
 // ---------------------------------------------------------------------
 
-/// Register-block shape of KernelOps::conv_tile: output channels x
-/// pixels per block.  Tap panels are padded to a multiple of the width.
+/// Register-block shape of the conv tile ops: output channels x pixels
+/// per block.  Tap panels are padded to a multiple of the width.
 inline constexpr std::size_t kConvTileRows = 4;
 inline constexpr std::size_t kConvTileWidth = 8;
+
+/// The flush interval K of KernelOps::conv_tile16 for a layer whose
+/// largest weight magnitude is `max_abs_weight`, in a format of
+/// `total_bits` <= 16.  Activations lie in [-2^(tb-1), 2^(tb-1)), so one
+/// pair sum is at most 2 * max|w| * 2^(tb-1) in magnitude and K of them
+/// at most K times that:
+///   K = floor((2^31 - 1) / (2 * max|w| * 2^(tb-1)))
+/// keeps every flushed int32 sum exact.  K = 0 only when one pair can
+/// wrap: a -32768 word at 16 bits, where (-32768)^2 * 2 = 2^31.  All-zero
+/// weights never need a flush (SIZE_MAX).
+std::size_t MaddFlushPairs(std::int32_t max_abs_weight, int total_bits);
+
+/// The exact int16 tile a K = 0 layer runs: conv_tile16's sum and
+/// layout with one int64 product per tap, scalar.
+void ConvTile16Exact(std::int64_t* acc, const std::int16_t* panel,
+                     std::size_t taps, std::size_t width,
+                     const std::int16_t* w, const std::int64_t* bias,
+                     std::size_t n_oc);
 
 /// The vectorisable inner loops of the datapath, dispatched once per
 /// process (or overridden per test).  All pointers may be unaligned.
 struct KernelOps {
   const char* name;
 
-  /// The convolution tile: for j in [0, n_oc) and x in [0, width),
+  /// The int32 convolution tile (formats wider than 16 bits): for j in
+  /// [0, n_oc) and x in [0, width),
   ///   acc[j * width + x] = bias[j]
   ///       + sum_t int64(w[j * taps + t]) * panel[t * width + x]
   /// where `panel` is one output row's tap panel P[tap][x], `width` is a
@@ -88,9 +116,29 @@ struct KernelOps {
                     const std::int32_t* w, const std::int64_t* bias,
                     std::size_t n_oc);
 
+  /// The int16 convolution tile (formats of 16 bits or fewer): the same
+  /// sum, over a panel whose taps are interleaved in pairs, P[t/2][x][2]
+  /// — tap t of pixel x at panel[(t / 2) * 2 * width + 2 * x + t % 2] —
+  /// with the second half of the last pair zero when `taps` is odd.  The
+  /// weights stay in natural order and are read a pair at a time, so
+  /// `w` must be readable one word past row n_oc-1's last tap (that
+  /// word meets the zero half).  Each pair's two products are summed in
+  /// int32 and the int32 sums are added into the int64 accumulators
+  /// every `flush_pairs` >= 1 pairs; the caller picks flush_pairs with
+  /// MaddFlushPairs, which is what makes the result exact.
+  void (*conv_tile16)(std::int64_t* acc, const std::int16_t* panel,
+                      std::size_t taps, std::size_t width,
+                      const std::int16_t* w, const std::int64_t* bias,
+                      std::size_t n_oc, std::size_t flush_pairs);
+
   /// sum_i int64(a[i]) * b[i] — the dot product of an FC/recurrent row.
   std::int64_t (*dot)(const std::int32_t* a, const std::int32_t* b,
                       std::size_t n);
+
+  /// sum_i int64(w[i]) * a[i] over int16 weight words: the FC/recurrent
+  /// row of a format of 16 bits or fewer (half the weight bytes of dot).
+  std::int64_t (*dot16)(const std::int16_t* w, const std::int32_t* a,
+                        std::size_t n);
 
   /// out[i] = clamp(RoundShiftHalfAway(acc[i], frac_bits), raw_min,
   /// raw_max) — the accumulator writeback stage of the synergy-neuron

@@ -3,14 +3,17 @@
 // Avx2Available() confirmed the CPU supports it.
 //
 // Bit-identity with the scalar backend is structural: every op is either
-// elementwise (writeback, relu, max) or an exact int64 accumulation
-// (conv_tile, dot) whose summation order cannot matter because the
-// simulator guarantees no-overflow before routing work here.
+// elementwise (writeback, relu, max) or an exact integer accumulation
+// (conv_tile, conv_tile16, dot, dot16) whose summation order cannot
+// matter because the simulator guarantees no-overflow before routing
+// work here.
 #include "sim/kernels.h"
 
 #if defined(DB_HAVE_AVX2_KERNELS)
 
 #include <immintrin.h>
+
+#include <cstring>
 
 namespace db::sim::detail {
 namespace {
@@ -74,16 +77,84 @@ void Avx2ConvTile(std::int64_t* acc, const std::int32_t* panel,
   }
 }
 
-std::int64_t Avx2Dot(const std::int32_t* a, const std::int32_t* b,
-                     std::size_t n) {
+/// One weight pair (w[0], w[1]) in every 32-bit lane: one broadcast load.
+inline __m256i BroadcastPair(const std::int16_t* w) {
+  std::int32_t pair;
+  std::memcpy(&pair, w, sizeof pair);
+  return _mm256_set1_epi32(pair);
+}
+
+/// Adds 8 int32 pixel sums into one channel's 8 int64 accumulators.
+inline void Flush(std::int64_t* out, __m256i sum) {
+  const __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(sum));
+  const __m256i hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(sum, 1));
+  auto* o = reinterpret_cast<__m256i*>(out);
+  _mm256_storeu_si256(o, _mm256_add_epi64(_mm256_loadu_si256(o), lo));
+  _mm256_storeu_si256(o + 1, _mm256_add_epi64(_mm256_loadu_si256(o + 1), hi));
+}
+
+void Avx2ConvTile16(std::int64_t* acc, const std::int16_t* panel,
+                    std::size_t taps, std::size_t width,
+                    const std::int16_t* w, const std::int64_t* bias,
+                    std::size_t n_oc, std::size_t flush_pairs) {
+  static_assert(kConvTileRows == 4 && kConvTileWidth == 8,
+                "the register block below is written out for 4 x 8");
+  // Rows past n_oc repeat the last real row: computed, never stored.
+  auto row = [&](std::size_t j) { return j < n_oc ? j : n_oc - 1; };
+  const std::int16_t* w0 = w + row(0) * taps;
+  const std::int16_t* w1 = w + row(1) * taps;
+  const std::int16_t* w2 = w + row(2) * taps;
+  const std::int16_t* w3 = w + row(3) * taps;
+  const std::size_t pairs = (taps + 1) / 2;
+  for (std::size_t x0 = 0; x0 < width; x0 += kConvTileWidth) {
+    alignas(32) std::int64_t tile[kConvTileRows][kConvTileWidth];
+    for (std::size_t j = 0; j < kConvTileRows; ++j)
+      for (std::int64_t& v : tile[j]) v = bias[row(j)];
+    // One 16-lane load is 8 pixels x one tap pair; _mm256_madd_epi16
+    // against a broadcast weight pair gives each pixel's pair sum in an
+    // int32 lane.  s<j> holds output channel j's 8 pixel sums.
+    const std::int16_t* p = panel + 2 * x0;
+    for (std::size_t pp = 0; pp < pairs;) {
+      const std::size_t end =
+          pairs - pp > flush_pairs ? pp + flush_pairs : pairs;
+      __m256i s0 = _mm256_setzero_si256(), s1 = s0, s2 = s0, s3 = s0;
+      for (; pp < end; ++pp, p += 2 * width) {
+        const __m256i v =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+        s0 = _mm256_add_epi32(
+            s0, _mm256_madd_epi16(v, BroadcastPair(w0 + 2 * pp)));
+        s1 = _mm256_add_epi32(
+            s1, _mm256_madd_epi16(v, BroadcastPair(w1 + 2 * pp)));
+        s2 = _mm256_add_epi32(
+            s2, _mm256_madd_epi16(v, BroadcastPair(w2 + 2 * pp)));
+        s3 = _mm256_add_epi32(
+            s3, _mm256_madd_epi16(v, BroadcastPair(w3 + 2 * pp)));
+      }
+      Flush(tile[0], s0);
+      Flush(tile[1], s1);
+      Flush(tile[2], s2);
+      Flush(tile[3], s3);
+    }
+    for (std::size_t j = 0; j < n_oc; ++j)
+      std::memcpy(acc + j * width + x0, tile[j], sizeof tile[j]);
+  }
+}
+
+/// dot (Word = int32) and dot16 (Word = int16, widened on load).
+template <typename Word>
+std::int64_t Avx2Dot(const Word* a, const std::int32_t* b, std::size_t n) {
   // Two independent accumulators break the add dependency chain (the
   // int64 sum is exact, so regrouping cannot change the result).
   __m256i sum_even = _mm256_setzero_si256();
   __m256i sum_odd = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    __m256i va;
+    if constexpr (sizeof(Word) == 2)
+      va = _mm256_cvtepi16_epi32(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
+    else
+      va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
     const __m256i vb =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
     // Even 32-bit elements live in the low half of each 64-bit lane;
@@ -174,8 +245,14 @@ std::int32_t Avx2MaxValue(const std::int32_t* in, std::size_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",        Avx2ConvTile, Avx2Dot,
-    Avx2Writeback, Avx2Relu,     Avx2MaxValue,
+    "avx2",
+    Avx2ConvTile,
+    Avx2ConvTile16,
+    Avx2Dot<std::int32_t>,
+    Avx2Dot<std::int16_t>,
+    Avx2Writeback,
+    Avx2Relu,
+    Avx2MaxValue,
 };
 
 }  // namespace

@@ -11,16 +11,17 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
   WeightStore store = WeightStore::CreateFor(net);
   for (const IrLayer* layer : net.ComputeLayers()) {
     if (!store.Has(layer->name())) continue;
-    const RawLayerParams& words = raw.at(*layer);
     LayerParams& params = store.at(layer->name());
-    auto dequantize = [&](Tensor& t, const std::vector<std::int32_t>& w) {
-      for (std::int64_t i = 0; i < t.size(); ++i)
-        t[i] = static_cast<float>(
-            fmt.Dequantize(w[static_cast<std::size_t>(i)]));
-    };
-    dequantize(params.weights, words.weights);
-    dequantize(params.bias, words.bias);
-    dequantize(params.recurrent, words.recurrent);
+    raw.Visit(*layer, [&](const auto& words) {
+      auto dequantize = [&](Tensor& t, const auto& w) {
+        for (std::int64_t i = 0; i < t.size(); ++i)
+          t[i] = static_cast<float>(
+              fmt.Dequantize(w[static_cast<std::size_t>(i)]));
+      };
+      dequantize(params.weights, words.weights);
+      dequantize(params.bias, words.bias);
+      dequantize(params.recurrent, words.recurrent);
+    });
   }
   return store;
 }

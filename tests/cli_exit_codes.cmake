@@ -52,6 +52,73 @@ foreach(value 2.5 1e30)
   expect_exit(2 --model "${model}")                      # db::Error
 endforeach()
 
+# Hostile shapes and constraint doubles end in a db::Error, never in a
+# DB_CHECK, a std::bad_alloc or a silent success.  expect_error also
+# asserts the diagnostic names the actual problem.
+function(expect_error pattern)
+  execute_process(COMMAND ${DEEPBURNING} ${ARGN}
+    RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT result EQUAL 2)
+    message(FATAL_ERROR
+      "deepburning ${ARGN}: expected exit 2, got ${result}")
+  endif()
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR
+      "deepburning ${ARGN}: stderr does not match '${pattern}':\n${err}")
+  endif()
+endfunction()
+
+set(hostile_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_hostile")
+file(MAKE_DIRECTORY "${hostile_dir}")
+# Blob element counts overflow int64 (1 x 4e9 x 4e9) or pass the cap.
+file(WRITE "${hostile_dir}/huge_input.prototxt"
+  "name: \"huge_input\"\ninput: \"data\"\n"
+  "input_dim: 1\ninput_dim: 1\ninput_dim: 4000000000\n"
+  "input_dim: 4000000000\n"
+  "layers { name: \"fc1\" type: INNER_PRODUCT bottom: \"data\" "
+  "top: \"fc1\" inner_product_param { num_output: 4 } }\n")
+expect_error("layer 'data': input blob .*exceeds the cap"
+  --model "${hostile_dir}/huge_input.prototxt")
+file(WRITE "${hostile_dir}/huge_fc.prototxt"
+  "name: \"huge_fc\"\ninput: \"data\"\n"
+  "input_dim: 1\ninput_dim: 1\ninput_dim: 4\ninput_dim: 4\n"
+  "layers { name: \"fc1\" type: INNER_PRODUCT bottom: \"data\" "
+  "top: \"fc1\" inner_product_param { num_output: 3000000000000 } }\n")
+expect_error("layer 'fc1': .*exceeds the cap"
+  --model "${hostile_dir}/huge_fc.prototxt")
+# A pooling window larger than its input, and a pad near 2^62 whose
+# window arithmetic would wrap.
+foreach(pool "kernel_size: 5 stride: 1" "kernel_size: 2 pad: 4611686018427387904")
+  string(REGEX REPLACE "[^a-z0-9]+" "_" name "${pool}")
+  set(model "${hostile_dir}/pool_${name}.prototxt")
+  file(WRITE "${model}"
+    "name: \"pool\"\ninput: \"data\"\n"
+    "input_dim: 1\ninput_dim: 1\ninput_dim: 4\ninput_dim: 4\n"
+    "layers { name: \"pool1\" type: POOLING bottom: \"data\" "
+    "top: \"pool1\" pooling_param { pool: MAX ${pool} } }\n")
+  expect_error("pool1" --model "${model}")
+endforeach()
+# A constraint double outside its range (infinite or vanishing) and
+# a bram_kb whose byte count overflows int64.
+set(small_model "${hostile_dir}/small.prototxt")
+file(WRITE "${small_model}"
+  "name: \"small\"\ninput: \"data\"\n"
+  "input_dim: 1\ninput_dim: 1\ninput_dim: 4\ninput_dim: 4\n"
+  "layers { name: \"fc1\" type: INNER_PRODUCT bottom: \"data\" "
+  "top: \"fc1\" inner_product_param { num_output: 4 } }\n")
+foreach(field_value
+    "frequency_mhz: 1e999" "frequency_mhz: 0.000000001"
+    "dram_bandwidth_gbs: 1e999"
+    "dram_bandwidth_gbs: 0" "bram_kb: 9000000000000000000")
+  string(REGEX REPLACE "[^a-z0-9]+" "_" name "${field_value}")
+  string(REGEX REPLACE ":.*" "" field "${field_value}")
+  set(constraint "${hostile_dir}/${name}.prototxt")
+  file(WRITE "${constraint}" "${field_value}\n")
+  expect_error("${field} must be in"
+    --model "${small_model}" --constraint "${constraint}" --simulate
+    --out "${hostile_dir}/out")
+endforeach()
+
 # The cluster-resilience flags fail fast (before any generation work)
 # with byte-stable error text: two identical invocations emit identical
 # stderr bytes.

@@ -61,6 +61,27 @@ TEST(Constraint, InvalidFrequencyRejected) {
   EXPECT_THROW(ParseConstraint("frequency_mhz: -5\n"), Error);
 }
 
+TEST(Constraint, DoublesOutsideTheirRangesRejected) {
+  EXPECT_THROW(ParseConstraint("frequency_mhz: 1e999\n"), Error);
+  EXPECT_THROW(ParseConstraint("frequency_mhz: 0.000000001\n"), Error);
+  EXPECT_THROW(ParseConstraint("frequency_mhz: 1000.5\n"), Error);
+  EXPECT_THROW(ParseConstraint("dram_bandwidth_gbs: 1e999\n"), Error);
+  EXPECT_THROW(ParseConstraint("dram_bandwidth_gbs: 0\n"), Error);
+  EXPECT_DOUBLE_EQ(ParseConstraint("frequency_mhz: 1000\n").frequency_mhz,
+                   1000.0);
+  EXPECT_DOUBLE_EQ(
+      ParseConstraint("dram_bandwidth_gbs: 0.001\n").dram_bandwidth_gbs,
+      0.001);
+}
+
+TEST(Constraint, BramKbByteCountMustFitInt64) {
+  EXPECT_THROW(ParseConstraint("bram_kb: 9000000000000000000\n"), Error);
+  EXPECT_THROW(ParseConstraint("bram_kb: -1\n"), Error);
+  EXPECT_EQ(ParseConstraint("bram_kb: 9007199254740991\n")
+                .explicit_budget.bram_bytes,
+            std::int64_t{9007199254740991} * 1024);
+}
+
 TEST(Constraint, InvalidLutEntriesRejected) {
   EXPECT_THROW(ParseConstraint("approx_lut_entries: 1\n"), Error);
 }

@@ -178,6 +178,177 @@ TEST(Kernels, DotMatchesBruteForce) {
   }
 }
 
+// ------------------------------------------------- the int16 madd tile
+
+std::vector<std::int16_t> RandomI16(Rng& rng, std::size_t n, std::int32_t lo,
+                                    std::int32_t hi) {
+  std::vector<std::int16_t> v(n);
+  for (auto& x : v)
+    x = static_cast<std::int16_t>(
+        lo + static_cast<std::int32_t>(rng.UniformInt(
+                 static_cast<std::uint64_t>(hi - lo) + 1)));
+  return v;
+}
+
+/// conv_tile16's panel from a natural-order one, flat[t * width + x]:
+/// taps interleaved in pairs, P[t/2][x][2], the odd half zero.
+std::vector<std::int16_t> PairPanel(const std::vector<std::int16_t>& flat,
+                                    std::size_t taps, std::size_t width) {
+  std::vector<std::int16_t> paired((taps + 1) / 2 * 2 * width, 0);
+  for (std::size_t t = 0; t < taps; ++t)
+    for (std::size_t x = 0; x < width; ++x)
+      paired[t / 2 * 2 * width + 2 * x + t % 2] = flat[t * width + x];
+  return paired;
+}
+
+/// Runs conv_tile16 (every backend) and ConvTile16Exact for 1..4 output
+/// channels against int64 brute force over the natural-order panel.
+/// Each call sees exactly n_oc rows of weights plus the one readable
+/// word past them (set non-zero: it must meet the zero panel half), so
+/// an over-read shows under ASan.
+void ExpectConvTile16Matches(const std::vector<std::int16_t>& flat,
+                             std::size_t taps, std::size_t width,
+                             const std::vector<std::int16_t>& w,
+                             const std::vector<std::int64_t>& bias,
+                             std::size_t flush_pairs) {
+  constexpr std::int64_t kSentinel = 0x5a5a5a5a5a5a5a5a;
+  const std::vector<std::int16_t> panel = PairPanel(flat, taps, width);
+  for (std::size_t n_oc = 1; n_oc <= kConvTileRows; ++n_oc) {
+    SCOPED_TRACE("taps=" + std::to_string(taps) + " width=" +
+                 std::to_string(width) + " n_oc=" + std::to_string(n_oc) +
+                 " flush=" + std::to_string(flush_pairs));
+    std::vector<std::int64_t> want(n_oc * width);
+    for (std::size_t j = 0; j < n_oc; ++j)
+      for (std::size_t x = 0; x < width; ++x) {
+        std::int64_t sum = bias[j];
+        for (std::size_t t = 0; t < taps; ++t)
+          sum += std::int64_t{w[j * taps + t]} * flat[t * width + x];
+        want[j * width + x] = sum;
+      }
+    std::vector<std::int16_t> rows(w.begin(),
+                                   w.begin() + static_cast<std::ptrdiff_t>(
+                                                   n_oc * taps));
+    rows.push_back(-12345);
+    auto check = [&](const char* name, const std::vector<std::int64_t>& acc) {
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), acc.begin())) << name;
+      EXPECT_TRUE(std::all_of(
+          acc.begin() + static_cast<std::ptrdiff_t>(n_oc * width), acc.end(),
+          [](std::int64_t v) { return v == kSentinel; }))
+          << name << " wrote past n_oc";
+    };
+    for (const KernelOps* ops : Backends()) {
+      std::vector<std::int64_t> acc(kConvTileRows * width, kSentinel);
+      ops->conv_tile16(acc.data(), panel.data(), taps, width, rows.data(),
+                       bias.data(), n_oc, flush_pairs);
+      check(ops->name, acc);
+    }
+    std::vector<std::int64_t> acc(kConvTileRows * width, kSentinel);
+    ConvTile16Exact(acc.data(), panel.data(), taps, width, rows.data(),
+                    bias.data(), n_oc);
+    check("exact", acc);
+  }
+}
+
+TEST(Kernels, ConvTile16MatchesBruteForce) {
+  Rng rng(16);
+  struct Case {
+    int total_bits;
+    std::int32_t max_w;  // weights in [-max_w, max_w]
+  };
+  // Full-range Q7.8 weights (K = 1), mid-range ones (K ~ 10^2, so a
+  // 363-tap row flushes), tiny ones (K past every pair count: one flush
+  // at the end) and an 8-bit format.
+  for (const Case c : {Case{16, 32767}, Case{16, 300}, Case{16, 3},
+                       Case{8, 128}}) {
+    const std::int32_t act = std::int32_t{1} << (c.total_bits - 1);
+    const std::size_t k_full = MaddFlushPairs(c.max_w, c.total_bits);
+    ASSERT_GE(k_full, 1u);
+    // Odd and even tap counts: one tap, one pair, a 3x3 window, NiN's
+    // 5x5x96 = 2400 and Alexnet conv1's 3*11*11 = 363.
+    for (const std::size_t taps :
+         {std::size_t{1}, std::size_t{2}, std::size_t{9}, std::size_t{363},
+          std::size_t{2400}}) {
+      for (const std::size_t width : {8u, 16u, 32u}) {
+        const std::vector<std::int16_t> flat =
+            RandomI16(rng, taps * width, -act, act - 1);
+        const std::vector<std::int16_t> w =
+            RandomI16(rng, kConvTileRows * taps, -c.max_w, c.max_w);
+        std::vector<std::int64_t> bias(kConvTileRows);
+        for (std::int64_t& b : bias)
+          b = static_cast<std::int64_t>(rng.UniformInt(1u << 24)) -
+              (1 << 23);
+        for (const std::size_t flush : {std::size_t{1}, std::size_t{2},
+                                        k_full})
+          if (flush <= k_full)
+            ExpectConvTile16Matches(flat, taps, width, w, bias, flush);
+      }
+    }
+  }
+  // The tightest legal pair: -32767 weights against -32768 activations
+  // sum to 2 * 32767 * 32768 = 2^31 - 2^16, one pair per flush.
+  ASSERT_EQ(MaddFlushPairs(32767, 16), 1u);
+  for (const std::size_t taps : {std::size_t{7}, std::size_t{64}}) {
+    const std::vector<std::int16_t> flat(taps * 8, -32768);
+    const std::vector<std::int16_t> w(kConvTileRows * taps, -32767);
+    ExpectConvTile16Matches(flat, taps, 8, w, {1, -1, 0, 7}, 1);
+  }
+}
+
+/// (-32768)^2 * 2 = 2^31 is one past int32: a layer holding a -32768
+/// weight word at 16 bits gets no flush interval (K = 0), and the
+/// simulator runs ConvTile16Exact, which is exact there.
+TEST(Kernels, ConvTile16WrapEdgeTakesTheExactTile) {
+  EXPECT_EQ(MaddFlushPairs(32768, 16), 0u);
+  EXPECT_EQ(MaddFlushPairs(32767, 16), 1u);
+  EXPECT_EQ(MaddFlushPairs(128, 8), 65535u);
+  EXPECT_EQ(MaddFlushPairs(0, 16), std::numeric_limits<std::size_t>::max());
+  const std::int64_t pair = std::int64_t{-32768} * -32768 * 2;
+  EXPECT_GT(pair, std::int64_t{std::numeric_limits<std::int32_t>::max()});
+
+  for (const std::size_t taps : {std::size_t{5}, std::size_t{50}}) {
+    SCOPED_TRACE("taps=" + std::to_string(taps));
+    constexpr std::size_t kWidth = 16;
+    const std::vector<std::int16_t> flat(taps * kWidth, -32768);
+    const std::vector<std::int16_t> panel = PairPanel(flat, taps, kWidth);
+    std::vector<std::int16_t> w(kConvTileRows * taps + 1, -32768);
+    w.back() = 0;
+    const std::vector<std::int64_t> bias = {3, -3, 0, 1};
+    std::vector<std::int64_t> acc(kConvTileRows * kWidth);
+    ConvTile16Exact(acc.data(), panel.data(), taps, kWidth, w.data(),
+                    bias.data(), kConvTileRows);
+    for (std::size_t j = 0; j < kConvTileRows; ++j)
+      for (std::size_t x = 0; x < kWidth; ++x)
+        EXPECT_EQ(acc[j * kWidth + x],
+                  bias[j] + static_cast<std::int64_t>(taps) * (1ll << 30));
+  }
+}
+
+TEST(Kernels, Dot16MatchesBruteForce) {
+  Rng rng(9);
+  for (const std::size_t n : {0u, 1u, 5u, 8u, 13u, 32u, 67u, 9216u}) {
+    const std::vector<std::int16_t> w = RandomI16(rng, n, -32768, 32767);
+    // Activations across the 16-bit range, and wider ones: the contract
+    // is any int32.
+    for (const std::int32_t edge : {std::int32_t{1} << 15,
+                                    std::int32_t{1} << 30}) {
+      const std::vector<std::int32_t> a = RandomI32(rng, n, -edge, edge - 1);
+      std::int64_t want = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        want += std::int64_t{w[i]} * a[i];
+      for (const KernelOps* ops : Backends())
+        EXPECT_EQ(ops->dot16(w.data(), a.data(), n), want)
+            << ops->name << " n=" << n << " edge=" << edge;
+    }
+    // Every operand at raw_min: no pair may wrap.
+    const std::vector<std::int16_t> w_min(n, -32768);
+    const std::vector<std::int32_t> a_min(n, -32768);
+    for (const KernelOps* ops : Backends())
+      EXPECT_EQ(ops->dot16(w_min.data(), a_min.data(), n),
+                static_cast<std::int64_t>(n) * (1ll << 30))
+          << ops->name << " n=" << n;
+  }
+}
+
 TEST(Kernels, WritebackSaturatesAndRoundsTiesAwayFromZero) {
   // A 16-bit format with 8 fractional bits: raw range [-32768, 32767].
   constexpr int kFrac = 8;

@@ -1,6 +1,8 @@
 // Tests for the graph IR: construction, shape inference, validation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "graph/network.h"
 #include "models/zoo.h"
@@ -8,7 +10,7 @@
 namespace db {
 namespace {
 
-std::string Header(int c, int h, int w) {
+std::string Header(std::int64_t c, std::int64_t h, std::int64_t w) {
   return "input: \"data\"\ninput_dim: 1\ninput_dim: " + std::to_string(c) +
          "\ninput_dim: " + std::to_string(h) +
          "\ninput_dim: " + std::to_string(w) + "\n";
@@ -55,6 +57,60 @@ TEST(Network, ForwardReferenceRejected) {
       Error);
 }
 
+/// The db::Error message of building `script`.
+std::string BuildError(const std::string& script) {
+  try {
+    Network::Build(ParseNetworkDef(script));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Network, OversizedCountsRejectedNamingTheLayer) {
+  // 1 x 4e9 x 4e9 overflows int64; the blob must be named, not reported
+  // as an empty FC input.
+  EXPECT_NE(BuildError(Header(1, 4000000000, 4000000000) +
+                       "layers { name: \"fc\" type: INNER_PRODUCT "
+                       "bottom: \"data\" top: \"fc\" "
+                       "inner_product_param { num_output: 4 } }\n")
+                .find("layer 'data': input blob"),
+            std::string::npos);
+  // A 3e12-wide FC layer is refused before its weights are allocated.
+  EXPECT_NE(BuildError(Header(1, 4, 4) +
+                       "layers { name: \"fc\" type: INNER_PRODUCT "
+                       "bottom: \"data\" top: \"fc\" "
+                       "inner_product_param { num_output: 3000000000000 } }\n")
+                .find("layer 'fc': output blob"),
+            std::string::npos);
+  // Blobs within the cap, but 2^14 x 2^15 = 2^29 weights over it.
+  EXPECT_NE(BuildError(Header(1, 128, 128) +
+                       "layers { name: \"fc\" type: INNER_PRODUCT "
+                       "bottom: \"data\" top: \"fc\" "
+                       "inner_product_param { num_output: 32768 } }\n")
+                .find("layer 'fc': parameter count"),
+            std::string::npos);
+  // A pad near 2^62 saturates the window arithmetic instead of wrapping,
+  // and the resulting blob is refused (pooling and convolution).
+  for (const char* kind : {"POOLING", "CONVOLUTION"}) {
+    SCOPED_TRACE(kind);
+    EXPECT_NE(BuildError(Header(1, 4, 4) + "layers { name: \"w\" type: " +
+                         kind +
+                         " bottom: \"data\" top: \"w\" param { "
+                         "num_output: 1 kernel_size: 2 stride: 1 "
+                         "pad: 4611686018427387904 } }\n")
+                  .find("layer 'w': output blob"),
+              std::string::npos);
+  }
+  // Exactly at the cap is accepted: 2^14 x 2^14 weights, no bias.
+  EXPECT_EQ(BuildError(Header(1, 128, 128) +
+                       "layers { name: \"fc\" type: INNER_PRODUCT "
+                       "bottom: \"data\" top: \"fc\" "
+                       "inner_product_param { num_output: 16384 "
+                       "bias_term: false } }\n"),
+            "");
+}
+
 TEST(ShapeInference, Convolution) {
   LayerDef def;
   def.name = "c";
@@ -84,6 +140,18 @@ TEST(ShapeInference, ConvolutionTooLargeKernelRejected) {
   def.conv = ConvolutionParams{.num_output = 4, .kernel_size = 9,
                                .stride = 1, .pad = 0, .bias = true};
   EXPECT_THROW(InferOutputShape(def, {{1, 5, 5}}), Error);
+}
+
+TEST(ShapeInference, PoolingKernelLargerThanInputRejected) {
+  LayerDef def;
+  def.name = "p";
+  def.kind = LayerKind::kPooling;
+  def.pool = PoolingParams{};
+  def.pool->kernel_size = 5;
+  def.pool->stride = 1;
+  EXPECT_THROW(InferOutputShape(def, {{1, 4, 4}}), Error);
+  def.pool->pad = 1;
+  EXPECT_EQ(InferOutputShape(def, {{1, 4, 4}}).height, 2);
 }
 
 TEST(ShapeInference, PoolingCeilSemantics) {

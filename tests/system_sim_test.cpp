@@ -2,6 +2,9 @@
 // execution trace / VCD export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+
 #include "common/error.h"
 #include "core/generator.h"
 #include "models/zoo.h"
@@ -129,17 +132,55 @@ TEST(SystemSim, RawDecodeEqualsTheQuantisedStore) {
   int layers = 0;
   for (const IrLayer* layer : fx.net.ComputeLayers()) {
     if (!fx.weights.Has(layer->name())) {
-      EXPECT_THROW(decoded.at(*layer), Error) << layer->name();
+      EXPECT_THROW(decoded.Visit(*layer, [](const auto&) {}), Error)
+          << layer->name();
       continue;
     }
     ++layers;
-    const RawLayerParams& d = decoded.at(*layer);
-    const RawLayerParams& q = quantised.at(*layer);
-    EXPECT_EQ(d.weights, q.weights) << layer->name();
-    EXPECT_EQ(d.bias, q.bias) << layer->name();
-    EXPECT_EQ(d.recurrent, q.recurrent) << layer->name();
+    decoded.Visit(*layer, [&](const auto& d) {
+      using Word = typename std::decay_t<decltype(d.weights)>::value_type;
+      const RawLayerParams<Word> q = quantised.at<Word>(*layer);
+      EXPECT_TRUE(std::ranges::equal(d.weights, q.weights)) << layer->name();
+      EXPECT_TRUE(std::ranges::equal(d.bias, q.bias)) << layer->name();
+      EXPECT_TRUE(std::ranges::equal(d.recurrent, q.recurrent))
+          << layer->name();
+      EXPECT_EQ(d.max_abs_weight, q.max_abs_weight) << layer->name();
+    });
   }
   EXPECT_GT(layers, 0);
+}
+
+/// The snapshot holds the DRAM word: 2 bytes per weight for a format of
+/// 16 bits or fewer (every Q7.8 design), 4 for wider formats, whether it
+/// was quantised or decoded.  max|w| is recorded for the int16 words.
+TEST(SystemSim, SnapshotWordIsTheDramWord) {
+  const Network net = BuildZooModel(ZooModel::kMnist);
+  Rng rng(5);
+  const WeightStore weights = WeightStore::CreateRandom(net, rng);
+  const IrLayer& conv1 = *net.ComputeLayers().front();
+  for (const int bit_width : {8, 16, 24}) {
+    SCOPED_TRACE("bit_width=" + std::to_string(bit_width));
+    DesignConstraint constraint = DbConstraint();
+    constraint.bit_width = bit_width;
+    constraint.frac_bits = bit_width / 2;
+    const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+    const MemoryImage image = BuildMemoryImage(
+        net, design, weights, {{"data", Tensor(Shape{1, 12, 12})}});
+    const RawWeights decoded = RawWeights::Decode(image, net, design);
+    const RawWeights quantised =
+        RawWeights::Quantize(net, design.config.format, weights);
+    EXPECT_EQ(decoded.int16_words(), bit_width <= 16);
+    EXPECT_EQ(quantised.int16_words(), bit_width <= 16);
+    if (bit_width > 16) continue;
+    const RawLayerParams<std::int16_t> words =
+        decoded.at<std::int16_t>(conv1);
+    static_assert(sizeof(words.weights[0]) == 2);
+    std::int32_t max_abs = 0;
+    for (const std::int16_t w : words.weights)
+      max_abs = std::max(max_abs, std::abs(std::int32_t{w}));
+    EXPECT_GT(max_abs, 0);
+    EXPECT_EQ(words.max_abs_weight, max_abs);
+  }
 }
 
 /// A flipped weight word reaches the datapath as the hardware reads it:
@@ -170,8 +211,11 @@ TEST(SystemSim, FlippedWeightWordsAreReadAsTheHardwareReadsThem) {
     image.FlipBit(addr + bit / 8, bit % 8);
     const std::int64_t word = image.ReadElem(addr, elem_bytes);
     ASSERT_NE(word, clean);
-    const std::int32_t decoded =
-        RawWeights::Decode(image, net, design).at(conv1).weights.front();
+    std::int32_t decoded = 0;
+    RawWeights::Decode(image, net, design)
+        .Visit(conv1, [&](const auto& words) {
+          decoded = words.weights.front();
+        });
     EXPECT_EQ(decoded, fmt.Saturate(word));
     if (bit_width == 32) {
       EXPECT_EQ(decoded, word);
