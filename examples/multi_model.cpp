@@ -35,7 +35,8 @@ int main() {
               shared.designs[0].lut_specs.size());
 
   const Network* nets[] = {&mnist, &ann, &cifar};
-  std::printf("%-8s %10s %12s %14s\n", "model", "steps", "us", "fidelity");
+  std::printf("%-8s %10s %12s %14s\n", "model", "segments", "us",
+              "fidelity");
   Rng rng(3);
   for (std::size_t i = 0; i < shared.designs.size(); ++i) {
     const Network& net = *nets[i];
@@ -52,7 +53,7 @@ int main() {
         MaxAbsDiff(exec.ForwardOutput(input), sim.Run(input));
 
     std::printf("%-8s %10lld %12.2f %13.4f\n", net.name().c_str(),
-                static_cast<long long>(design.schedule.TotalSteps()),
+                static_cast<long long>(design.fold_plan.TotalSegments()),
                 perf.TotalSeconds() * 1e6, diff);
   }
   std::printf("\n(The 'fidelity' column is the max |float - fixed| output "

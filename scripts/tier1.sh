@@ -52,20 +52,22 @@ cmake --preset asan
 # (image encode, raw-weight decode, the shared snapshot) run here too,
 # and so do the kernels and the functional simulator: the int16 tap
 # panel packing and the weight-pair reads that may touch the snapshot's
-# trailing pad word are where an out-of-bounds read would hide.
+# trailing pad word are where an out-of-bounds read would hide.  So do
+# the design serde cases: the decoder reads untrusted cache bytes.
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test serve_plan_test serve_golden_test trace_test \
            common_test perf_model_test host_runtime_test system_sim_test \
-           obs_test provisioning_test kernels_test functional_sim_test
+           obs_test provisioning_test kernels_test functional_sim_test \
+           cluster_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Planner|ServeGolden|Provisioning|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels|RoundShiftHalfAway|SimArena|FunctionalSim'
+  -R 'Planner|ServeGolden|Provisioning|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels|RoundShiftHalfAway|SimArena|FunctionalSim|DesignSerde'
 
 echo "== tier-1: UBSan on the static verifier and RTL lint =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap
 # scans, fold partitions) is exactly where signed overflow and bad shifts
 # would hide; pure UBSan runs it at near-native speed, including the
 # seeded mutation sweep and the report-digest oracle (VerifierOracle:
-# the one-pass schedule rules over every zoo design, hand-made
+# the per-run schedule rules over every zoo design, hand-made
 # corruptions and the Explore sweep).
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${JOBS}" \
@@ -117,8 +119,8 @@ cmp "${PROFILE_TMP}/tune_a.txt" "${PROFILE_TMP}/tune_b.txt"
 build/tools/deepburning tune MNIST --jobs 8 --json > "${PROFILE_TMP}/tune_a.json"
 build/tools/deepburning tune MNIST --jobs 8 --json > "${PROFILE_TMP}/tune_b.json"
 cmp "${PROFILE_TMP}/tune_a.json" "${PROFILE_TMP}/tune_b.json"
-# NiN's swept schedules reach 53k steps: the largest the verifier and
-# schedule builder see.
+# NiN has the most fold segments (up to 53k on a swept candidate) and
+# layers (30 coordinator runs) of the zoo.
 build/tools/deepburning tune NiN --jobs 1 > "${PROFILE_TMP}/tune_nin_a.txt"
 build/tools/deepburning tune NiN --jobs 8 > "${PROFILE_TMP}/tune_nin_b.txt"
 cmp "${PROFILE_TMP}/tune_nin_a.txt" "${PROFILE_TMP}/tune_nin_b.txt"

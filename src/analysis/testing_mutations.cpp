@@ -38,17 +38,13 @@ void BreakRule(AcceleratorDesign& design, const std::string& rule) {
     return;
   }
   if (rule == kRuleSchedHazard) {
-    DB_CHECK_MSG(design.schedule.steps.size() >= 2,
-                 "need a multi-step schedule to replay an event");
-    // Replay the first step's fold event on the last step: duplicate
-    // event, and (for multi-layer nets) a read of a blob that is not
-    // written yet when the FSM loops back.  The crossbar microcode is
-    // edited in lock-step so only the schedule itself is inconsistent.
-    design.schedule.steps.back().event =
-        design.schedule.steps.front().event;
-    if (!design.connection_plan.settings.empty())
-      design.connection_plan.settings.back().event =
-          design.schedule.steps.back().event;
+    auto& runs = design.schedule.runs;
+    DB_CHECK_MSG(!runs.empty() && !runs.front().pattern_ids.empty(),
+                 "need a pattern-arming run to replay");
+    // Re-arm the first run's first pattern on the last run: the sweep
+    // replays after it completed (and, for multi-layer nets, from the
+    // wrong layer's state).
+    runs.back().pattern_ids.push_back(runs.front().pattern_ids.front());
     return;
   }
   if (rule == kRuleFoldCoverage) {
@@ -71,13 +67,13 @@ void BreakRule(AcceleratorDesign& design, const std::string& rule) {
     return;
   }
   if (rule == kRuleConnPorts) {
-    DB_CHECK_MSG(!design.connection_plan.settings.empty(), "empty plan");
-    // Re-route the first step's consumer to the classifier port; either
-    // no classifier block exists, or the schedule block disagrees.
-    CrossbarSetting& s = design.connection_plan.settings.front();
-    s.consumer = s.consumer == DatapathPort::kClassifier
-                     ? DatapathPort::kPoolingUnit
-                     : DatapathPort::kClassifier;
+    DB_CHECK_MSG(!design.schedule.runs.empty(), "empty schedule");
+    // Re-route the last run's consumer to a port its fold pool does not
+    // dictate; no later run chains from it, so only the crossbar is off.
+    ScheduleRun& run = design.schedule.runs.back();
+    run.consumer = run.consumer == DatapathPort::kClassifier
+                       ? DatapathPort::kPoolingUnit
+                       : DatapathPort::kClassifier;
     return;
   }
   if (rule == kRuleLutDomain) {

@@ -2,20 +2,18 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/strings.h"
 #include "core/approx_lut.h"
-#include "core/connection_plan.h"
 #include "core/schedule.h"
 #include "graph/layer_stats.h"
 #include "hwlib/resource_model.h"
@@ -269,61 +267,13 @@ void CheckMemLayout(const Network& net, const AcceleratorDesign& design,
   }
 }
 
-// ---------------------------------------------------------------------
-// Per-layer schedule index shared by sched.hazard and fold.coverage.
-// Both rules run in one pass over the steps of a well-formed schedule
-// with no allocation per step; diagnostic strings are built only when a
-// diagnostic is emitted.
-// ---------------------------------------------------------------------
+std::string RunLoc(std::size_t i) {
+  return "schedule/run:" + std::to_string(i);
+}
 
-/// The steps executing one layer.
-struct LayerSteps {
-  int first = 0;           // index of the layer's first step
-  int last = 0;            // index of its last step
-  std::int64_t count = 0;  // steps executing the layer
-  /// Every step so far named segment `count`: the layer's segments are
-  /// exactly 0..count-1 in step order, so none repeats.
-  bool in_order = true;
-};
-
-/// LayerSteps of every layer id the schedule names.  Steps come in runs
-/// of one layer, so the map is looked up once per run, not per step.
-class ScheduleIndex {
- public:
-  explicit ScheduleIndex(const std::vector<ScheduleStep>& steps) {
-    LayerSteps* run = nullptr;
-    int run_layer = 0;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      const ScheduleStep& s = steps[i];
-      if (run == nullptr || s.layer_id != run_layer) {
-        const auto [it, fresh] = layers_.try_emplace(s.layer_id);
-        run = &it->second;
-        run_layer = s.layer_id;
-        if (fresh) run->first = static_cast<int>(i);
-      }
-      run->last = static_cast<int>(i);
-      if (s.segment != run->count) {
-        run->in_order = false;
-        all_in_order_ = false;
-      }
-      ++run->count;
-    }
-  }
-
-  /// nullptr when no step executes the layer.
-  const LayerSteps* Find(int layer_id) const {
-    const auto it = layers_.find(layer_id);
-    return it == layers_.end() ? nullptr : &it->second;
-  }
-  bool all_in_order() const { return all_in_order_; }
-
- private:
-  std::map<int, LayerSteps> layers_;
-  bool all_in_order_ = true;
-};
-
-std::string StepLoc(std::size_t i) {
-  return "schedule/step:" + std::to_string(i);
+bool IsStream(const AguPattern& p) {
+  return p.kind == TransferKind::kStreamData ||
+         p.kind == TransferKind::kStreamWeights;
 }
 
 // ---------------------------------------------------------------------
@@ -334,14 +284,14 @@ void CheckSchedHazards(const Network& net, const AcceleratorDesign& design,
   const auto err = [&](const std::string& loc, const std::string& msg) {
     report.Add(Severity::kError, kRuleSchedHazard, loc, msg);
   };
-  const auto& steps = design.schedule.steps;
-  if (steps.empty()) {
+  const auto& runs = design.schedule.runs;
+  if (runs.empty()) {
     err("schedule", "empty schedule");
     return;
   }
 
   // AGU patterns by id (the last of several sharing an id wins) and the
-  // number of steps arming each id.
+  // number of runs arming each id.
   struct Armed {
     const AguPattern* pattern = nullptr;
     int count = 0;
@@ -350,80 +300,80 @@ void CheckSchedHazards(const Network& net, const AcceleratorDesign& design,
   for (const AguPattern& p : design.agu_program.patterns)
     armed[p.id].pattern = &p;
 
-  const ScheduleIndex index(steps);
-  std::string_view previous_consumer = "data_buffer";
-  int previous_layer = steps.front().layer_id;
-  bool events_canonical = true;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const ScheduleStep& s = steps[i];
-    if (s.index != static_cast<int>(i))
-      err(StepLoc(i), "step index " + std::to_string(s.index) +
-                          " breaks the dense 0..n-1 FSM state numbering");
-    if (!IsFoldEvent(s.event, s.layer_id, s.segment)) {
-      events_canonical = false;
-      err(StepLoc(i), "event '" + s.event +
-                          "' does not match layer/segment ('" +
-                          FoldEventName(s.layer_id, s.segment) +
-                          "' expected)");
-    }
-    for (int pattern_id : s.pattern_ids) {
+  // The FSM state executing each compute layer (kNever until its run).
+  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+  std::unordered_map<int, std::size_t> state_of;
+  for (const IrLayer* layer : net.ComputeLayers())
+    state_of[layer->id] = kNever;
+
+  DatapathPort previous_consumer = DatapathPort::kDataBuffer;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const ScheduleRun& r = runs[i];
+    const auto state = state_of.find(r.layer_id);
+    if (state == state_of.end())
+      err(RunLoc(i), "runs unknown compute layer id " +
+                         std::to_string(r.layer_id));
+    else if (state->second != kNever)
+      err(RunLoc(i), "layer '" + LayerNameOrId(net, r.layer_id) +
+                         "' already ran in state " +
+                         std::to_string(state->second) +
+                         " (one run per layer)");
+    else
+      state->second = i;
+    // Producer chaining: each run is fed by the previous run's consumer
+    // (the data buffer ahead of the first run).
+    if (r.producer != previous_consumer)
+      err(RunLoc(i), "producer '" + DatapathPortName(r.producer) +
+                         "' breaks the dataflow chain (previous consumer "
+                         "is '" + DatapathPortName(previous_consumer) +
+                         "')");
+    previous_consumer = r.consumer;
+    for (int pattern_id : r.pattern_ids) {
       const auto it = armed.find(pattern_id);
       if (it == armed.end()) {
-        err(StepLoc(i), "triggers unknown AGU pattern id " +
-                            std::to_string(pattern_id));
+        err(RunLoc(i), "triggers unknown AGU pattern id " +
+                           std::to_string(pattern_id));
         continue;
       }
-      if (it->second.pattern->layer_id != s.layer_id)
-        err(StepLoc(i),
-            "triggers pattern " + std::to_string(pattern_id) +
-                " of layer '" +
-                LayerNameOrId(net, it->second.pattern->layer_id) +
-                "' from layer '" + LayerNameOrId(net, s.layer_id) + "'");
+      const AguPattern& p = *it->second.pattern;
+      if (p.layer_id != r.layer_id)
+        err(RunLoc(i), "triggers pattern " + std::to_string(pattern_id) +
+                           " of layer '" + LayerNameOrId(net, p.layer_id) +
+                           "' from layer '" +
+                           LayerNameOrId(net, r.layer_id) + "'");
+      // The FSM holds the state while the streams' y-loops step the
+      // segments: a longer run reads rows no stream delivers, a shorter
+      // one leaves a stream mid-sweep.
+      if (IsStream(p) && p.y_length != r.segments)
+        err(RunLoc(i), "steps " + I64(r.segments) +
+                           " segments but stream pattern " +
+                           std::to_string(pattern_id) + " sweeps " +
+                           I64(p.y_length) + " rows");
       ++it->second.count;
     }
-    // Producer chaining: each layer's steps inherit the previous layer's
-    // consumer ("data_buffer" ahead of the first layer), and all
-    // segments of one layer share it.
-    if (i > 0 && s.layer_id != previous_layer) {
-      previous_consumer = steps[i - 1].consumer_block;
-      previous_layer = s.layer_id;
-    }
-    if (s.producer_block != previous_consumer)
-      err(StepLoc(i), "producer '" + s.producer_block +
-                          "' breaks the dataflow chain (previous consumer "
-                          "is '" + std::string(previous_consumer) + "')");
   }
 
-  // Duplicate fold events.  Canonical events of in-order layers are
-  // distinct by construction; otherwise compare the event strings
-  // exactly, so a mismatching event that collides with a matching one is
-  // still reported.
-  if (!events_canonical || !index.all_in_order()) {
-    std::unordered_set<std::string_view> events;
-    for (std::size_t i = 0; i < steps.size(); ++i)
-      if (!events.insert(steps[i].event).second)
-        err(StepLoc(i), "duplicate fold event '" + steps[i].event + "'");
-  }
-
-  // Read-after-write: every producer layer's steps must complete before
-  // the consumer's first step fires (temporal folding legality).
+  // Read-after-write: every producer layer's run must precede the
+  // consumer's (temporal folding legality).
   for (const IrLayer* layer : net.ComputeLayers()) {
-    const LayerSteps* mine = index.Find(layer->id);
-    if (mine == nullptr) {
+    const std::size_t mine = state_of[layer->id];
+    if (mine == kNever) {
       err("schedule", "layer '" + layer->name() +
-                      "' never executes (no schedule step)");
+                      "' never executes (no schedule run)");
       continue;
     }
     for (int producer_id : layer->input_ids) {
-      const LayerSteps* produced = index.Find(producer_id);
-      if (produced == nullptr) continue;  // network input blob
-      if (produced->last >= mine->first)
-        err(StepLoc(static_cast<std::size_t>(mine->first)),
+      const auto produced_it = state_of.find(producer_id);
+      // A network input, or a layer already reported as never executing.
+      if (produced_it == state_of.end() || produced_it->second == kNever)
+        continue;
+      const std::size_t produced = produced_it->second;
+      if (produced >= mine)
+        err(RunLoc(mine),
             "layer '" + layer->name() + "' reads the blob of '" +
-                LayerNameOrId(net, producer_id) + "' at step " +
-                std::to_string(mine->first) +
-                " before its final write at step " +
-                std::to_string(produced->last));
+                LayerNameOrId(net, producer_id) + "' in state " +
+                std::to_string(mine) + " before it is written in state " +
+                std::to_string(produced));
     }
   }
 
@@ -447,7 +397,14 @@ void CheckFoldCoverage(const Network& net, const AcceleratorDesign& design,
     report.Add(Severity::kError, kRuleFoldCoverage, loc, msg);
   };
   const AcceleratorConfig& config = design.config;
-  const ScheduleIndex index(design.schedule.steps);
+  // Segments the schedule executes per layer (a layer run twice counts
+  // twice: double-compute).
+  std::unordered_map<int, std::int64_t> executed;
+  for (const ScheduleRun& run : design.schedule.runs) {
+    std::int64_t& total = executed[run.layer_id];
+    if (__builtin_add_overflow(total, run.segments, &total))
+      total = std::numeric_limits<std::int64_t>::max();
+  }
   std::set<int> planned;
   for (const LayerFold& fold : design.fold_plan.folds) {
     const std::string loc = "fold/" + fold.layer_name;
@@ -507,30 +464,11 @@ void CheckFoldCoverage(const Network& net, const AcceleratorDesign& design,
                  ", serialisation factor " + I64(serial) + ")");
     }
 
-    // The schedule must realise exactly this layer's segment set.
-    const auto out_of_range = [&](std::int64_t segment) {
-      err(loc, "schedule names segment " + I64(segment) + " outside [0, " +
-               I64(fold.segments) + ")");
-    };
-    const LayerSteps* steps = index.Find(fold.layer_id);
-    const std::int64_t step_count = steps == nullptr ? 0 : steps->count;
-    if (steps != nullptr && steps->in_order) {
-      // Segments 0..count-1, each once: only the tail can overrun.
-      for (std::int64_t seg = fold.segments; seg < step_count; ++seg)
-        out_of_range(seg);
-    } else if (steps != nullptr) {
-      std::set<std::int64_t> seen;
-      for (const ScheduleStep& s : design.schedule.steps) {
-        if (s.layer_id != fold.layer_id) continue;
-        if (!seen.insert(s.segment).second)
-          err(loc, "segment " + I64(s.segment) +
-                   " appears twice in the schedule (double-compute)");
-        if (s.segment < 0 || s.segment >= fold.segments)
-          out_of_range(s.segment);
-      }
-    }
-    if (step_count != fold.segments)
-      err(loc, "schedule executes " + I64(step_count) + " of " +
+    // The schedule must realise exactly this layer's segment count.
+    const auto run = executed.find(fold.layer_id);
+    const std::int64_t ran = run == executed.end() ? 0 : run->second;
+    if (ran != fold.segments)
+      err(loc, "schedule executes " + I64(ran) + " of " +
                I64(fold.segments) + " segments");
   }
   for (const IrLayer* layer : net.ComputeLayers())
@@ -600,13 +538,6 @@ void CheckConnectionPorts(const AcceleratorDesign& design,
   const auto err = [&](const std::string& loc, const std::string& msg) {
     report.Add(Severity::kError, kRuleConnPorts, loc, msg);
   };
-  const auto& settings = design.connection_plan.settings;
-  const auto& steps = design.schedule.steps;
-  if (settings.size() != steps.size())
-    err("connection_plan", std::to_string(settings.size()) +
-                               " crossbar settings for " +
-                               std::to_string(steps.size()) +
-                               " schedule steps");
 
   // Which port endpoints actually have instantiated blocks behind them.
   constexpr int kPorts = static_cast<int>(DatapathPort::kConnectionBox) + 1;
@@ -644,61 +575,46 @@ void CheckConnectionPorts(const AcceleratorDesign& design,
     return p >= 0 && p < kPorts && instantiated[static_cast<std::size_t>(p)];
   };
 
-  // A step's blocks repeat the previous step's within a layer, so
-  // PortForBlock runs only when a block name changes.
-  struct BlockPort {
-    const std::string* block = nullptr;
-    bool known = false;
-    DatapathPort port = DatapathPort::kDataBuffer;
-    std::string error;  // PortForBlock's message when !known
-  };
-  const auto resolve = [](BlockPort& r, const std::string& block) {
-    if (r.block != nullptr && *r.block == block) return;
-    r.block = &block;
-    r.known = false;
-    try {
-      r.port = PortForBlock(block);
-      r.known = true;
-    } catch (const Error& e) {
-      r.error = e.what();
-    }
-  };
-  BlockPort producer;
-  BlockPort consumer;
+  // The first fold of each layer (a second is fold.coverage's to report).
+  std::unordered_map<int, const LayerFold*> folds;
+  for (const LayerFold& fold : design.fold_plan.folds)
+    folds.emplace(fold.layer_id, &fold);
 
   const int total_bits = design.config.format.total_bits();
   const bool has_box = design.config.has_connection_box &&
                        design.config.connection_box_ports >= 2;
-  const std::size_t n = std::min(settings.size(), steps.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const CrossbarSetting& setting = settings[i];
-    const ScheduleStep& step = steps[i];
-    const auto loc = [i] { return "connection/step:" + std::to_string(i); };
-    if (setting.step_index != step.index || setting.event != step.event)
-      err(loc(), "setting (step " + std::to_string(setting.step_index) +
-                     ", event '" + setting.event +
-                     "') does not mirror schedule step " +
-                     std::to_string(step.index) + " ('" + step.event + "')");
-    const auto check_port = [&](const char* role, DatapathPort wired,
-                                BlockPort& want, const std::string& block) {
-      resolve(want, block);
-      if (!want.known)
-        err(loc(), want.error);
-      else if (wired != want.port)
-        err(loc(), std::string(role) + " port '" + DatapathPortName(wired) +
-                       "' does not match schedule block '" + block + "'");
-    };
-    check_port("producer", setting.producer, producer, step.producer_block);
-    check_port("consumer", setting.consumer, consumer, step.consumer_block);
-    for (DatapathPort port : {setting.producer, setting.consumer})
+  // The port the fold plan routes into the next run: the data buffer
+  // ahead of the first, then each run's dictated consumer.
+  DatapathPort fed_by = DatapathPort::kDataBuffer;
+  const auto& runs = design.schedule.runs;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const ScheduleRun& run = runs[i];
+    const auto loc = [i] { return "connection/run:" + std::to_string(i); };
+    // A run of an unknown layer (sched.hazard's to report) dictates
+    // nothing.
+    const auto fold = folds.find(run.layer_id);
+    const DatapathPort dictated = fold == folds.end()
+                                      ? run.consumer
+                                      : ConsumerPortFor(*fold->second);
+    if (run.producer != fed_by)
+      err(loc(), "producer port '" + DatapathPortName(run.producer) +
+                     "' is not the '" + DatapathPortName(fed_by) +
+                     "' port the fold plan routes into this layer");
+    if (run.consumer != dictated)
+      err(loc(), "consumer port '" + DatapathPortName(run.consumer) +
+                     "' is not the '" + DatapathPortName(dictated) +
+                     "' port the layer's " +
+                     LanePoolName(fold->second->pool) +
+                     "-pool fold dictates");
+    fed_by = dictated;
+    for (DatapathPort port : {run.producer, run.consumer})
       if (!is_instantiated(port))
         err(loc(), "drives port '" + DatapathPortName(port) +
                        "' but the design instantiates no such block");
-    if (setting.shift < 0 || setting.shift >= total_bits)
-      err(loc(), "shift " + std::to_string(setting.shift) +
-                     " outside the " + std::to_string(total_bits) +
-                     "-bit datapath");
-    if (setting.consumer == DatapathPort::kConnectionBox && !has_box)
+    if (run.shift < 0 || run.shift >= total_bits)
+      err(loc(), "shift " + std::to_string(run.shift) + " outside the " +
+                     std::to_string(total_bits) + "-bit datapath");
+    if (run.consumer == DatapathPort::kConnectionBox && !has_box)
       err(loc(), "routes through the connection box but the configuration "
                  "provides none");
   }

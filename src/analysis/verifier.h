@@ -18,17 +18,21 @@
 //   mem.layout       memory-map regions are non-empty, port-aligned,
 //                    non-overlapping, uniquely named, and consistent
 //                    with the recorded total size
-//   sched.hazard     no step reads a producer blob before the steps
-//                    that write it completed; no block is producer and
-//                    consumer of the same slot; pattern triggers arm
-//                    exactly once and belong to the firing layer
+//   sched.hazard     one coordinator run per compute layer, each
+//                    producer layer's run before its consumers', every
+//                    producer chained from the previous run's consumer;
+//                    pattern triggers are known, belong to the run's
+//                    layer and arm exactly once, and the armed streams'
+//                    y-loops step exactly the run's segments
 //   fold.coverage    spatial segments partition each folded layer
-//                    exactly (no gap, no double-compute) and lane
+//                    exactly (no gap, no double-compute), the schedule
+//                    runs exactly the planned segments, and lane
 //                    grants fit the configured pools
 //   buffer.capacity  ping/pong/staging slots sit inside the data
 //                    buffer, never overlap, and hold the planned tiles
-//   conn.ports       the crossbar microcode mirrors the schedule and
-//                    only drives ports whose blocks are instantiated
+//   conn.ports       every run's crossbar ports are the ones the fold
+//                    plan dictates and have instantiated blocks behind
+//                    them; shifts fit the datapath width
 //   lut.domain       every required Approx LUT exists, covers a
 //                    non-empty domain in the datapath format, and its
 //                    generated table is key-monotone

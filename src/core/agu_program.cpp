@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/strings.h"
-#include "core/schedule.h"
 #include "graph/layer_stats.h"
 
 namespace db {
@@ -19,6 +18,11 @@ std::string TransferKindName(TransferKind kind) {
     case TransferKind::kStreamWeights: return "stream_weights";
   }
   return "?";
+}
+
+std::string FoldEventName(int layer_id, std::int64_t segment) {
+  return "layer" + std::to_string(layer_id) + "_fold" +
+         std::to_string(segment);
 }
 
 void ExpandPatternInto(const AguPattern& p,

@@ -49,6 +49,10 @@ struct AguPattern {
   }
 };
 
+/// A pattern's trigger event for one layer segment:
+/// "layer<id>_fold<segment>".
+std::string FoldEventName(int layer_id, std::int64_t segment);
+
 /// Expand a pattern into its address stream exactly as the RTL AGU's
 /// nested x/y counters would — used by tests and the functional memory
 /// model to validate coverage.

@@ -141,12 +141,13 @@ std::string DesignToJson(const AcceleratorDesign& design) {
   w.EndArray();
 
   w.BeginArray("schedule");
-  for (const ScheduleStep& s : design.schedule.steps) {
+  for (const ScheduleRun& r : design.schedule.runs) {
     w.BeginObject();
-    w.Field("index", s.index);
-    w.Field("event", s.event);
-    w.Field("producer", s.producer_block);
-    w.Field("consumer", s.consumer_block);
+    w.Field("layer_id", r.layer_id);
+    w.Field("segments", r.segments);
+    w.Field("producer", DatapathPortName(r.producer));
+    w.Field("consumer", DatapathPortName(r.consumer));
+    w.Field("shift", r.shift);
     w.EndObject();
   }
   w.EndArray();

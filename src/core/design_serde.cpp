@@ -244,19 +244,18 @@ void Ser(A& a, AguProgram& p) {
 }
 
 template <class A>
-void Ser(A& a, ScheduleStep& s) {
-  Ser(a, s.index);
-  Ser(a, s.layer_id);
-  Ser(a, s.segment);
-  Ser(a, s.event);
-  Ser(a, s.producer_block);
-  Ser(a, s.consumer_block);
-  Ser(a, s.pattern_ids);
+void Ser(A& a, ScheduleRun& r) {
+  Ser(a, r.layer_id);
+  Ser(a, r.segments);
+  SerEnum(a, r.producer, static_cast<int>(DatapathPort::kConnectionBox));
+  SerEnum(a, r.consumer, static_cast<int>(DatapathPort::kConnectionBox));
+  Ser(a, r.shift);
+  Ser(a, r.pattern_ids);
 }
 
 template <class A>
 void Ser(A& a, Schedule& s) {
-  Ser(a, s.steps);
+  Ser(a, s.runs);
 }
 
 template <class A>
@@ -281,20 +280,6 @@ template <class A>
 void Ser(A& a, BufferPlan& p) {
   Ser(a, p.data_buffer_bytes);
   Ser(a, p.entries);
-}
-
-template <class A>
-void Ser(A& a, CrossbarSetting& s) {
-  Ser(a, s.step_index);
-  Ser(a, s.event);
-  SerEnum(a, s.producer, static_cast<int>(DatapathPort::kConnectionBox));
-  SerEnum(a, s.consumer, static_cast<int>(DatapathPort::kConnectionBox));
-  Ser(a, s.shift);
-}
-
-template <class A>
-void Ser(A& a, ConnectionPlan& p) {
-  Ser(a, p.settings);
 }
 
 template <class A>
@@ -449,7 +434,6 @@ void Ser(A& a, AcceleratorDesign& d) {
   Ser(a, d.agu_program);
   Ser(a, d.schedule);
   Ser(a, d.buffer_plan);
-  Ser(a, d.connection_plan);
   Ser(a, d.lut_specs);
   Ser(a, d.blocks);
   Ser(a, d.resources);

@@ -426,9 +426,6 @@ void CompilePasses(const Network& net, AcceleratorDesign& design,
     design.buffer_plan = PlanBuffers(net, design.config, design.fold_plan,
                                      design.layout);
   });
-  phase("connection plan", [&] {
-    design.connection_plan = PlanConnections(net, design.schedule);
-  });
   phase("pick blocks", [&] {
     design.blocks = PickBlocks(design.config, net, design.agu_program,
                                design.fold_plan, design.lut_specs);
@@ -574,7 +571,7 @@ AcceleratorDesign GenerateAccelerator(const Network& net,
 
   DB_LOG(kInfo) << "generated accelerator for '" << net.name() << "': "
                 << design.config.TotalLanes() << " lanes, "
-                << design.schedule.TotalSteps() << " schedule steps, "
+                << design.fold_plan.TotalSegments() << " fold segments, "
                 << design.resources.total.ToString();
   return design;
 }
@@ -654,7 +651,6 @@ SharedAccelerator GenerateSharedAccelerator(
         BuildSchedule(*net, design.fold_plan, design.agu_program);
     design.buffer_plan = PlanBuffers(*net, design.config,
                                      design.fold_plan, design.layout);
-    design.connection_plan = PlanConnections(*net, design.schedule);
     shared.designs.push_back(std::move(design));
   }
 

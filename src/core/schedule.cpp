@@ -1,115 +1,101 @@
 #include "core/schedule.h"
 
-#include <algorithm>
-#include <charconv>
-#include <cstring>
+#include <cmath>
 #include <sstream>
 
 #include "common/error.h"
+#include "common/math_util.h"
 #include "common/strings.h"
 
 namespace db {
-namespace {
 
-/// FoldEventName's characters in a stack buffer: "layer" + an int +
-/// "_fold" + an int64 needs at most 41 bytes.
-struct FoldEventChars {
-  char data[48];
-  std::size_t size = 0;
-
-  FoldEventChars(int layer_id, std::int64_t segment) {
-    char* const end = data + sizeof data;
-    char* p = data;
-    std::memcpy(p, "layer", 5);
-    p = std::to_chars(p + 5, end, layer_id).ptr;
-    std::memcpy(p, "_fold", 5);
-    p = std::to_chars(p + 5, end, segment).ptr;
-    size = static_cast<std::size_t>(p - data);
+std::string DatapathPortName(DatapathPort port) {
+  switch (port) {
+    case DatapathPort::kDataBuffer: return "data_buffer";
+    case DatapathPort::kSynergyArray: return "synergy_array";
+    case DatapathPort::kAccumulator: return "accumulator";
+    case DatapathPort::kPoolingUnit: return "pooling_unit";
+    case DatapathPort::kActivationUnit: return "activation_unit";
+    case DatapathPort::kClassifier: return "classifier";
+    case DatapathPort::kConnectionBox: return "connection_box";
   }
-  std::string_view view() const { return {data, size}; }
-};
-
-}  // namespace
-
-std::string FoldEventName(int layer_id, std::int64_t segment) {
-  return std::string(FoldEventChars(layer_id, segment).view());
+  return "?";
 }
 
-bool IsFoldEvent(std::string_view event, int layer_id,
-                 std::int64_t segment) {
-  return event == FoldEventChars(layer_id, segment).view();
-}
-
-std::string ConsumerBlockFor(const LayerFold& fold) {
+DatapathPort ConsumerPortFor(const LayerFold& fold) {
   switch (fold.pool) {
     case LanePool::kMac:
-      return "synergy_array";
+      return DatapathPort::kSynergyArray;
     case LanePool::kPooling:
-      return "pooling_unit0";
+      return DatapathPort::kPoolingUnit;
     case LanePool::kActivation:
-      return "activation_unit0";
+      return DatapathPort::kActivationUnit;
     case LanePool::kNone:
-      return fold.kind == LayerKind::kClassifier ? "classifier0"
-                                                 : "connection_box0";
+      return fold.kind == LayerKind::kClassifier
+                 ? DatapathPort::kClassifier
+                 : DatapathPort::kConnectionBox;
   }
-  return "synergy_array";
+  return DatapathPort::kSynergyArray;
 }
 
 std::string Schedule::ToString() const {
   std::ostringstream os;
-  os << StrFormat("  %-5s %-18s %-20s -> %-20s %s\n", "step", "event",
-                  "producer", "consumer", "patterns");
-  for (const ScheduleStep& s : steps) {
+  os << StrFormat("  %-5s %-8s %8s %-16s -> %-16s %5s %s\n", "state",
+                  "layer", "segments", "producer", "consumer", "shift",
+                  "patterns");
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const ScheduleRun& r = runs[i];
     std::string pats;
-    for (std::size_t i = 0; i < s.pattern_ids.size(); ++i) {
-      if (i > 0) pats += ",";
-      pats += std::to_string(s.pattern_ids[i]);
+    for (std::size_t p = 0; p < r.pattern_ids.size(); ++p) {
+      if (p > 0) pats += ",";
+      pats += std::to_string(r.pattern_ids[p]);
     }
-    os << StrFormat("  %-5d %-18s %-20s -> %-20s [%s]\n", s.index,
-                    s.event.c_str(), s.producer_block.c_str(),
-                    s.consumer_block.c_str(), pats.c_str());
+    os << StrFormat("  %-5zu %-8s %8lld %-16s -> %-16s %5d [%s]\n", i,
+                    ("layer" + std::to_string(r.layer_id)).c_str(),
+                    static_cast<long long>(r.segments),
+                    DatapathPortName(r.producer).c_str(),
+                    DatapathPortName(r.consumer).c_str(), r.shift,
+                    pats.c_str());
   }
   return os.str();
 }
+
+namespace {
+
+/// Average pooling with a power-of-two window divides through the
+/// shifting latch; every other layer passes through (shift 0).
+int LatchShift(const IrLayer& layer) {
+  if (layer.kind() != LayerKind::kPooling ||
+      layer.def.pool->method != PoolMethod::kAverage)
+    return 0;
+  const std::int64_t window =
+      layer.def.pool->kernel_size * layer.def.pool->kernel_size;
+  if (!IsPow2(window)) return 0;
+  return static_cast<int>(
+      std::llround(std::log2(static_cast<double>(window))));
+}
+
+}  // namespace
 
 Schedule BuildSchedule(const Network& net, const FoldPlan& folds,
                        const AguProgram& agu) {
   Schedule schedule;
   const std::vector<const IrLayer*> layers = net.ComputeLayers();
-  std::vector<const LayerFold*> layer_folds;
-  layer_folds.reserve(layers.size());
-  std::size_t total_steps = 0;
+  schedule.runs.reserve(layers.size());
+  DatapathPort producer = DatapathPort::kDataBuffer;
   for (const IrLayer* layer : layers) {
-    layer_folds.push_back(&folds.ForLayer(layer->id));
-    total_steps += static_cast<std::size_t>(
-        std::max<std::int64_t>(layer_folds.back()->segments, 0));
+    const LayerFold& fold = folds.ForLayer(layer->id);
+    ScheduleRun& run = schedule.runs.emplace_back();
+    run.layer_id = layer->id;
+    run.segments = fold.segments;
+    run.producer = producer;
+    run.consumer = ConsumerPortFor(fold);
+    run.shift = LatchShift(*layer);
+    for (const AguPattern* p : agu.ForLayer(layer->id))
+      run.pattern_ids.push_back(p->id);
+    producer = run.consumer;
   }
-  schedule.steps.reserve(total_steps);
-
-  std::string previous_consumer = "data_buffer";
-  int index = 0;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const int layer_id = layers[l]->id;
-    const LayerFold& fold = *layer_folds[l];
-    std::string consumer = ConsumerBlockFor(fold);
-    for (std::int64_t seg = 0; seg < fold.segments; ++seg) {
-      ScheduleStep& step = schedule.steps.emplace_back();
-      step.index = index++;
-      step.layer_id = layer_id;
-      step.segment = seg;
-      step.event = FoldEventChars(layer_id, seg).view();
-      step.producer_block = previous_consumer;
-      step.consumer_block = consumer;
-      // All of the layer's patterns arm on its first segment; later
-      // segments run off the already-armed streaming patterns (their
-      // y-loop advances per segment).
-      if (seg == 0)
-        for (const AguPattern* p : agu.ForLayer(layer_id))
-          step.pattern_ids.push_back(p->id);
-    }
-    previous_consumer = std::move(consumer);
-  }
-  DB_CHECK_MSG(!schedule.steps.empty(), "empty schedule");
+  DB_CHECK_MSG(!schedule.runs.empty(), "empty schedule");
   return schedule;
 }
 

@@ -1,16 +1,19 @@
-// Dynamic control flow: the coordinator's FSM schedule (paper §3.3).
+// Dynamic control flow: the coordinator program (paper §3.3).
 //
-// The data-driven architecture needs only producer→consumer reconnection
-// at pre-determined beats: each schedule step names the fold segment being
-// executed, the functional block consuming data, the block producing it,
-// and the AGU patterns whose trigger events fire at the step boundary.
-// The RTL coordinator is generated with exactly these steps as its FSM
-// states; the simulator walks the same list.
+// The coordinator folds the network temporally, one FSM state per
+// compute layer in propagation order; PickBlocks sizes the RTL
+// coordinator to exactly that many states.  A layer wider than the
+// datapath is also folded spatially into segments, which the AGUs'
+// y-loops step through while the FSM stays in the layer's state.  So the
+// program holds one run per layer: its segment count, the crossbar
+// setting the data-driven datapath needs at the layer boundary
+// (producer→consumer reconnection, "the synergy neuron set used by one
+// layer ... need to be reconnected to accumulators afterwards") and the
+// AGU patterns whose trigger events fire when the state is entered.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/agu_program.h"
@@ -18,41 +21,50 @@
 
 namespace db {
 
-/// One coordinator FSM state / fold event.
-struct ScheduleStep {
-  int index = 0;
-  int layer_id = 0;
-  std::int64_t segment = 0;       // spatial fold slot within the layer
-  std::string event;              // "layer<id>_fold<segment>"
-  std::string producer_block;     // block output feeding the step
-  std::string consumer_block;     // functional block executing the step
-  std::vector<int> pattern_ids;   // AGU patterns triggered by this event
+/// Fixed datapath port indices (stable across designs so the coordinator
+/// microcode is position-independent).
+enum class DatapathPort : int {
+  kDataBuffer = 0,
+  kSynergyArray = 1,
+  kAccumulator = 2,
+  kPoolingUnit = 3,
+  kActivationUnit = 4,
+  kClassifier = 5,
+  kConnectionBox = 6,
 };
 
-/// The whole control flow.
-struct Schedule {
-  std::vector<ScheduleStep> steps;
+/// "data_buffer", "synergy_array", ...; "?" outside the enum.
+std::string DatapathPortName(DatapathPort port);
 
-  std::int64_t TotalSteps() const {
-    return static_cast<std::int64_t>(steps.size());
-  }
+/// The port of the block executing `fold`, dictated by its lane pool.
+DatapathPort ConsumerPortFor(const LayerFold& fold);
+
+/// One coordinator FSM state: a whole layer, all its segments.
+struct ScheduleRun {
+  int layer_id = 0;
+  /// Spatial fold segments the AGU y-loops step through in this state.
+  std::int64_t segments = 1;
+  /// Crossbar setting: the port feeding the layer and the port executing
+  /// it.
+  DatapathPort producer = DatapathPort::kDataBuffer;
+  DatapathPort consumer = DatapathPort::kSynergyArray;
+  /// Arithmetic right shift applied by the connection box's shifting
+  /// latch (average pooling's power-of-two division); 0 = pass-through.
+  int shift = 0;
+  /// AGU patterns armed on entering the state.
+  std::vector<int> pattern_ids;
+};
+
+/// The whole control flow, one run per compute layer.
+struct Schedule {
+  std::vector<ScheduleRun> runs;
+
   std::string ToString() const;
 };
 
-/// The fold event of one layer segment: "layer<id>_fold<segment>".
-std::string FoldEventName(int layer_id, std::int64_t segment);
-
-/// True when `event` equals FoldEventName(layer_id, segment); formats
-/// into a stack buffer, so it never allocates.
-bool IsFoldEvent(std::string_view event, int layer_id, std::int64_t segment);
-
-/// Canonical datapath block name executing a fold (e.g. "synergy_array",
-/// "pooling_unit0").
-std::string ConsumerBlockFor(const LayerFold& fold);
-
-/// Build the coordinator schedule: one step per fold segment of every
-/// layer, in propagation order, with the producer chained from the
-/// previous layer's consumer (or the data buffer for the first layer).
+/// Build the coordinator program: one run per compute layer, in
+/// propagation order, with the producer chained from the previous run's
+/// consumer (the data buffer for the first run).
 Schedule BuildSchedule(const Network& net, const FoldPlan& folds,
                        const AguProgram& agu);
 

@@ -43,6 +43,15 @@ void RequireInRange(const char* field, double value, double lo, double hi) {
              << value);
 }
 
+/// A resource count of the explicit budget, in [0, max].
+std::int64_t BudgetCount(const PtMessage& root, const char* field,
+                         std::int64_t max) {
+  const std::int64_t value = root.GetInt(field, 0);
+  if (value < 0 || value > max)
+    DB_THROW(field << " must be in [0, " << max << "], got " << value);
+  return value;
+}
+
 }  // namespace
 
 DesignConstraint ParseConstraint(const std::string& prototxt_text) {
@@ -78,17 +87,14 @@ DesignConstraint ParseConstraint(const std::string& prototxt_text) {
       c.approx_lut_interpolate =
           root.GetBool("approx_lut_interpolate", true);
     } else if (f.name == "dsp") {
-      c.explicit_budget.dsp = root.GetInt("dsp", 0);
+      c.explicit_budget.dsp = BudgetCount(root, "dsp", INT64_MAX);
     } else if (f.name == "lut") {
-      c.explicit_budget.lut = root.GetInt("lut", 0);
+      c.explicit_budget.lut = BudgetCount(root, "lut", INT64_MAX);
     } else if (f.name == "ff") {
-      c.explicit_budget.ff = root.GetInt("ff", 0);
+      c.explicit_budget.ff = BudgetCount(root, "ff", INT64_MAX);
     } else if (f.name == "bram_kb") {
-      const std::int64_t kb = root.GetInt("bram_kb", 0);
-      if (kb < 0 || kb > INT64_MAX / 1024)
-        DB_THROW("bram_kb must be in [0, " << INT64_MAX / 1024 << "], got "
-                 << kb);
-      c.explicit_budget.bram_bytes = kb * 1024;
+      c.explicit_budget.bram_bytes =
+          BudgetCount(root, "bram_kb", INT64_MAX / 1024) * 1024;
     } else {
       throw ParseError(f.line, "unknown constraint field '" + f.name + "'");
     }

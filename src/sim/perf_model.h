@@ -1,6 +1,6 @@
 // Transaction-level performance simulation of a generated accelerator.
 //
-// The simulator walks the coordinator schedule at fold-segment
+// The simulator walks the fold plan layer by layer, at fold-segment
 // granularity.  Each segment is a (fetch, compute, store) transaction
 // triple; with double buffering (the data-driven default) segment i+1's
 // fetch overlaps segment i's compute, exactly the producer/consumer

@@ -239,6 +239,9 @@ TEST(Verifier, NeverThrowsOnStructurallyEmptyDesign) {
 struct MutationSite {
   std::string name;
   std::function<void(AcceleratorDesign&, Rng&)> corrupt;
+  /// Only the control path reads the field: the simulator cannot notice
+  /// the corruption, so the verifier must catch every draw.
+  bool structural = false;
 };
 
 FixedFormat RandomFormat(Rng& rng, const FixedFormat& avoid) {
@@ -280,6 +283,7 @@ std::vector<MutationSite> BuildMutationSites(const AcceleratorDesign& design) {
                      }});
   }
   // -- structural fields only the control path reads ------------------
+  const std::size_t first_structural = sites.size();
   sites.push_back({"agu.y_length", [](AcceleratorDesign& d, Rng& rng) {
                      d.agu_program.patterns.front().y_length +=
                          1 + static_cast<std::int64_t>(rng.UniformInt(4));
@@ -291,10 +295,10 @@ std::vector<MutationSite> BuildMutationSites(const AcceleratorDesign& design) {
                          1 + static_cast<std::int64_t>(rng.UniformInt(64));
                      d.memory_map = MemoryMap::FromRegions(std::move(regions));
                    }});
-  sites.push_back({"schedule.event", [](AcceleratorDesign& d, Rng& rng) {
-                     auto& steps = d.schedule.steps;
-                     const std::size_t from = rng.UniformInt(steps.size());
-                     steps.back().event = steps[from].event + "_x";
+  sites.push_back({"run.segments", [](AcceleratorDesign& d, Rng& rng) {
+                     auto& runs = d.schedule.runs;
+                     runs[rng.UniformInt(runs.size())].segments +=
+                         1 + static_cast<std::int64_t>(rng.UniformInt(4));
                    }});
   sites.push_back({"fold.parallel_units", [](AcceleratorDesign& d, Rng& rng) {
                      LayerFold& fold = d.fold_plan.folds.front();
@@ -310,6 +314,8 @@ std::vector<MutationSite> BuildMutationSites(const AcceleratorDesign& design) {
                      d.resources.total.lut +=
                          1 + static_cast<std::int64_t>(rng.UniformInt(100));
                    }});
+  for (std::size_t i = first_structural; i < sites.size(); ++i)
+    sites[i].structural = true;
   return sites;
 }
 
@@ -373,6 +379,9 @@ TEST(MutationSweep, VerifierCatchesWhatTheSimulatorCatches) {
           analysis::VerifyDesign(net, mutated, options);
       const bool caught = report.ErrorCount() + report.WarningCount() > 0;
       if (caught) ++caught_total;
+      if (sites[s].structural) {
+        EXPECT_TRUE(caught) << sites[s].name << " draw " << draw;
+      }
       if (sim_detects) {
         ++detected_by_sim;
         if (caught)

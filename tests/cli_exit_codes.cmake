@@ -98,8 +98,9 @@ foreach(pool "kernel_size: 5 stride: 1" "kernel_size: 2 pad: 4611686018427387904
     "top: \"pool1\" pooling_param { pool: MAX ${pool} } }\n")
   expect_error("pool1" --model "${model}")
 endforeach()
-# A constraint double outside its range (infinite or vanishing) and
-# a bram_kb whose byte count overflows int64.
+# A constraint double outside its range (infinite or vanishing), a
+# negative resource count and a bram_kb whose byte count overflows
+# int64.
 set(small_model "${hostile_dir}/small.prototxt")
 file(WRITE "${small_model}"
   "name: \"small\"\ninput: \"data\"\n"
@@ -109,7 +110,8 @@ file(WRITE "${small_model}"
 foreach(field_value
     "frequency_mhz: 1e999" "frequency_mhz: 0.000000001"
     "dram_bandwidth_gbs: 1e999"
-    "dram_bandwidth_gbs: 0" "bram_kb: 9000000000000000000")
+    "dram_bandwidth_gbs: 0" "dsp: -5" "lut: -7" "ff: -3"
+    "bram_kb: 9000000000000000000")
   string(REGEX REPLACE "[^a-z0-9]+" "_" name "${field_value}")
   string(REGEX REPLACE ":.*" "" field "${field_value}")
   set(constraint "${hostile_dir}/${name}.prototxt")

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/accelerator_pool.h"
@@ -393,6 +397,85 @@ TEST(DesignSerde, RejectsCorruptPayloads) {
   wrong_magic[0] = 'X';
   EXPECT_THROW(DeserializeDesign(wrong_magic), Error);   // bad magic
   EXPECT_THROW(DeserializeDesign(std::string()), Error); // empty
+}
+
+/// Offset of the version word in a SerializeDesign payload: it follows
+/// the length-prefixed magic tag (u64 length, four bytes).
+constexpr std::size_t kVersionWordOffset = 8 + 4;
+
+/// Overwrite the payload's version word at `offset` with `version`.
+void SetVersionWord(std::string& bytes, std::size_t offset,
+                    std::uint32_t version) {
+  ASSERT_LE(offset + 4, bytes.size());
+  std::uint32_t current = 0;
+  for (int i = 0; i < 4; ++i)
+    current |= static_cast<std::uint32_t>(
+                   static_cast<std::uint8_t>(bytes[offset + i]))
+               << (8 * i);
+  ASSERT_EQ(current, kDesignSerdeVersion);
+  for (int i = 0; i < 4; ++i)
+    bytes[offset + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+}
+
+TEST(DesignSerde, RejectsThePreviousVersion) {
+  // Version 2 stored one schedule step and one crossbar setting per fold
+  // segment; its bytes must never decode as per-layer runs.
+  GeneratedFixture& fx = Fixture();
+  std::string bytes = SerializeDesign(fx.design);
+  SetVersionWord(bytes, kVersionWordOffset, 2);
+  try {
+    DeserializeDesign(bytes);
+    ADD_FAILURE() << "decoded a version-2 payload";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DesignSerde, StaleVersionCacheEntryIsRegenerated) {
+  GeneratedFixture& fx = Fixture();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "db_design_cache_stale_test";
+  std::filesystem::remove_all(dir);
+  const DesignKey key = MakeDesignKey(fx.def, fx.constraint);
+  DesignCache::Options options;
+  options.directory = dir.string();
+  {
+    DesignCache cache(options);
+    cache.Insert(key, fx.design);
+    ASSERT_EQ(cache.stats().disk_writes, 1);
+  }
+
+  // Rewrite the entry's payload as an older build would have tagged it.
+  // Entry layout: canonical length (u64) | canonical text | payload.
+  const std::filesystem::path entry = dir / (DesignKeyHex(key) + ".design");
+  std::string bytes;
+  {
+    std::ifstream in(entry, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  SetVersionWord(bytes, 8 + key.canonical.size() + kVersionWordOffset, 2);
+  {
+    std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  DesignCache cache(options);
+  EXPECT_EQ(cache.Lookup(key), nullptr);  // a miss, not a misdecode
+  EXPECT_EQ(cache.stats().disk_hits, 0);
+  EXPECT_EQ(cache.stats().misses, 1);
+  const auto regenerated = cache.GetOrGenerate(key, fx.net, fx.constraint);
+  EXPECT_EQ(cache.stats().inserts, 1);
+  EXPECT_EQ(cache.stats().disk_writes, 1);
+  EXPECT_EQ(DesignToJson(*regenerated), DesignToJson(fx.design));
+
+  // The rewritten entry now serves a fresh cache from disk.
+  DesignCache warm(options);
+  ASSERT_NE(warm.Lookup(key), nullptr);
+  EXPECT_EQ(warm.stats().disk_hits, 1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Fnv1a, MatchesKnownVectors) {

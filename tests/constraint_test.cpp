@@ -82,6 +82,22 @@ TEST(Constraint, BramKbByteCountMustFitInt64) {
             std::int64_t{9007199254740991} * 1024);
 }
 
+TEST(Constraint, NegativeResourceCountsRejected) {
+  for (const char* field : {"dsp", "lut", "ff"}) {
+    SCOPED_TRACE(field);
+    try {
+      ParseConstraint(std::string(field) + ": -5\n");
+      ADD_FAILURE() << "accepted a negative count";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(field) +
+                                           " must be in [0, "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(ParseConstraint("dsp: 0\n").explicit_budget.dsp, 0);
+}
+
 TEST(Constraint, InvalidLutEntriesRejected) {
   EXPECT_THROW(ParseConstraint("approx_lut_entries: 1\n"), Error);
 }

@@ -110,8 +110,12 @@ TEST_P(RandomNetworkSweep, FullPipelineInvariants) {
   EXPECT_TRUE(LintDesign(design.rtl).empty());
 
   // 3. Fold/schedule invariants.
-  EXPECT_EQ(design.schedule.TotalSteps(),
-            design.fold_plan.TotalSegments());
+  ASSERT_EQ(static_cast<std::int64_t>(design.schedule.runs.size()),
+            design.fold_plan.TemporalFolds());
+  std::int64_t run_segments = 0;
+  for (const ScheduleRun& run : design.schedule.runs)
+    run_segments += run.segments;
+  EXPECT_EQ(run_segments, design.fold_plan.TotalSegments());
   for (const LayerFold& fold : design.fold_plan.folds) {
     EXPECT_GE(fold.lanes_used, 1) << fold.layer_name;
     if (fold.pool == LanePool::kMac) {

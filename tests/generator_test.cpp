@@ -38,7 +38,7 @@ TEST_P(GeneratorSweep, GeneratesWithinBudgetAndLintClean) {
             0);
   EXPECT_EQ(design.fold_plan.TemporalFolds(),
             static_cast<std::int64_t>(net.ComputeLayers().size()));
-  EXPECT_FALSE(design.schedule.steps.empty());
+  EXPECT_FALSE(design.schedule.runs.empty());
   EXPECT_FALSE(design.blocks.empty());
 }
 

@@ -1,6 +1,8 @@
-// Tests for the on-chip buffer plan, the connection (crossbar) plan, and
-// the shared multi-network accelerator.
+// Tests for the on-chip buffer plan, the crossbar settings the
+// coordinator's runs carry, and the shared multi-network accelerator.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "common/error.h"
 #include "core/generator.h"
@@ -76,29 +78,28 @@ TEST(BufferPlan, ReportIncludesPlan) {
   EXPECT_NE(design.Report().find("buffer plan"), std::string::npos);
 }
 
-// -------------------------------------------------------- connection plan
+// ------------------------------------------ crossbar settings of the runs
 
 TEST(ConnectionPlan, OneSettingPerScheduleStep) {
+  // One crossbar setting per coordinator state: each run carries the
+  // ports its layer's fold pool dictates.
   const Network net = BuildZooModel(ZooModel::kMnist);
   const AcceleratorDesign design =
       GenerateAccelerator(net, DbConstraint());
-  EXPECT_EQ(design.connection_plan.settings.size(),
-            design.schedule.steps.size());
-  for (std::size_t i = 0; i < design.schedule.steps.size(); ++i) {
-    EXPECT_EQ(design.connection_plan.settings[i].event,
-              design.schedule.steps[i].event);
-    EXPECT_EQ(design.connection_plan.settings[i].step_index,
-              design.schedule.steps[i].index);
-  }
+  ASSERT_EQ(design.schedule.runs.size(), design.fold_plan.folds.size());
+  for (const ScheduleRun& run : design.schedule.runs)
+    EXPECT_EQ(run.consumer,
+              ConsumerPortFor(design.fold_plan.ForLayer(run.layer_id)))
+        << net.layer(run.layer_id).name();
 }
 
 TEST(ConnectionPlan, FirstStepConsumesFromDataBuffer) {
   const AcceleratorDesign design = GenerateAccelerator(
       BuildZooModel(ZooModel::kMnist), DbConstraint());
-  ASSERT_FALSE(design.connection_plan.settings.empty());
-  EXPECT_EQ(design.connection_plan.settings.front().producer,
+  ASSERT_FALSE(design.schedule.runs.empty());
+  EXPECT_EQ(design.schedule.runs.front().producer,
             DatapathPort::kDataBuffer);
-  EXPECT_EQ(design.connection_plan.settings.front().consumer,
+  EXPECT_EQ(design.schedule.runs.front().consumer,
             DatapathPort::kSynergyArray);
 }
 
@@ -108,35 +109,46 @@ TEST(ConnectionPlan, AveragePoolingGetsShift) {
   const AcceleratorDesign design =
       GenerateAccelerator(net, DbConstraint());
   bool found = false;
-  for (const CrossbarSetting& s : design.connection_plan.settings) {
-    const IrLayer& layer =
-        net.layer(design.schedule.steps[static_cast<std::size_t>(
-                                            s.step_index)]
-                      .layer_id);
+  for (const ScheduleRun& run : design.schedule.runs) {
+    const IrLayer& layer = net.layer(run.layer_id);
     if (layer.name() == "pool2") {
-      EXPECT_EQ(s.shift, 2);
+      EXPECT_EQ(run.shift, 2);
       found = true;
     } else {
-      EXPECT_EQ(s.shift, 0) << layer.name();
+      EXPECT_EQ(run.shift, 0) << layer.name();
     }
   }
   EXPECT_TRUE(found);
 }
 
 TEST(ConnectionPlan, PortResolution) {
-  EXPECT_EQ(PortForBlock("synergy_array"), DatapathPort::kSynergyArray);
-  EXPECT_EQ(PortForBlock("pooling_unit0"), DatapathPort::kPoolingUnit);
-  EXPECT_EQ(PortForBlock("data_buffer"), DatapathPort::kDataBuffer);
-  EXPECT_THROW(PortForBlock("mystery_block"), Error);
+  LayerFold fold;
+  fold.pool = LanePool::kMac;
+  EXPECT_EQ(ConsumerPortFor(fold), DatapathPort::kSynergyArray);
+  fold.pool = LanePool::kPooling;
+  EXPECT_EQ(ConsumerPortFor(fold), DatapathPort::kPoolingUnit);
+  fold.pool = LanePool::kActivation;
+  EXPECT_EQ(ConsumerPortFor(fold), DatapathPort::kActivationUnit);
+  fold.pool = LanePool::kNone;
+  fold.kind = LayerKind::kClassifier;
+  EXPECT_EQ(ConsumerPortFor(fold), DatapathPort::kClassifier);
+  fold.kind = LayerKind::kConcat;
+  EXPECT_EQ(ConsumerPortFor(fold), DatapathPort::kConnectionBox);
+  EXPECT_EQ(DatapathPortName(DatapathPort::kDataBuffer), "data_buffer");
+  EXPECT_EQ(DatapathPortName(static_cast<DatapathPort>(7)), "?");
 }
 
 TEST(ConnectionPlan, DistinctPortsBounded) {
   const AcceleratorDesign design = GenerateAccelerator(
       BuildZooModel(ZooModel::kAlexnet), DbConstraint());
-  const int ports = design.connection_plan.DistinctPorts();
-  EXPECT_GE(ports, 2);
-  EXPECT_LE(ports, 7);
-  EXPECT_NE(design.connection_plan.ToString().find("synergy_array"),
+  std::set<DatapathPort> ports;
+  for (const ScheduleRun& run : design.schedule.runs) {
+    ports.insert(run.producer);
+    ports.insert(run.consumer);
+  }
+  EXPECT_GE(ports.size(), 2u);
+  EXPECT_LE(ports.size(), 7u);
+  EXPECT_NE(design.schedule.ToString().find("synergy_array"),
             std::string::npos);
 }
 
